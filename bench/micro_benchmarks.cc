@@ -27,6 +27,7 @@
 #include "sim/statevector.h"
 #include "telemetry/journal.h"
 #include "telemetry/profiler.h"
+#include "telemetry/recorder.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
 #include "telemetry/trace_context.h"
@@ -324,17 +325,18 @@ BENCHMARK(BM_JournalEmitDisabled);
 void
 BM_JournalEmitEnabled(benchmark::State& state)
 {
-    // Enabled cost for comparison: shard lock plus typed field copies.
+    // Enabled cost for comparison: the thread's buffer lock plus typed
+    // field copies.
     // The bounded buffer means long runs settle into the drop path.
     telemetry::SetJournalEnabled(true);
-    telemetry::Journal::Global().Clear();
+    telemetry::ClearEvents();
     uint64_t i = 0;
     for (auto _ : state) {
         telemetry::JournalEmit("bench.noop", {{"i", i++}});
     }
     state.SetItemsProcessed(state.iterations());
     telemetry::SetJournalEnabled(false);
-    telemetry::Journal::Global().Clear();
+    telemetry::ClearEvents();
 }
 BENCHMARK(BM_JournalEmitEnabled);
 

@@ -256,8 +256,7 @@ struct ServiceResponse {
     /**
      * Structured ping/stats diagnostics (counters and gauges such as
      * inflight, queued, admitted). Serialized as the `diag` object when
-     * non-empty; supersedes the legacy `key=value` diagnostics strings
-     * (kept one release for compatibility — see docs/SERVICE.md).
+     * non-empty.
      */
     std::map<std::string, double> diag;
 

@@ -12,8 +12,8 @@ namespace {
 /**
  * Journal the cross-request edge from a served snapshot back to the
  * flight that measured it. The emitting request's own trace is stamped
- * automatically by Journal::Emit; link_trace/link_span point at the
- * leader's `svc.cache.fill`, so a trace graph can attribute "this
+ * automatically by the telemetry recorder; link_trace/link_span point at
+ * the leader's `svc.cache.fill`, so a trace graph can attribute "this
  * request's characterization cost was paid by that request".
  */
 void

@@ -5,10 +5,9 @@
 #include <vector>
 
 #include "service/snapshot_cache.h"
-#include "telemetry/journal.h"
 #include "telemetry/json.h"
+#include "telemetry/recorder.h"
 #include "telemetry/telemetry.h"
-#include "telemetry/trace.h"
 
 namespace xtalk::service {
 
@@ -143,16 +142,15 @@ BuildServiceStatsJson(const ServiceStatsInfo& info)
     w.EndObject();
 
     // Observability health: how much of the story got dropped.
-    w.Key("journal").BeginObject();
-    w.Key("events").Number(telemetry::Journal::Global().size());
-    w.Key("dropped").Number(telemetry::Journal::Global().dropped());
-    w.EndObject();
-    w.Key("trace_buffer").BeginObject();
-    w.Key("events")
-        .Number(static_cast<uint64_t>(
-            telemetry::TraceBuffer::Global().Snapshot().size()));
-    w.Key("dropped").Number(telemetry::TraceBuffer::Global().dropped());
-    w.EndObject();
+    using Kind = telemetry::Event::Kind;
+    for (const auto& [section, kind] :
+         {std::pair{"journal", Kind::kJournal},
+          std::pair{"trace_buffer", Kind::kSpan}}) {
+        w.Key(section).BeginObject();
+        w.Key("events").Number(telemetry::RetainedEventCount(kind));
+        w.Key("dropped").Number(telemetry::DroppedEventCount(kind));
+        w.EndObject();
+    }
 
     w.EndObject();
     return w.str();

@@ -1,46 +1,15 @@
 #include "telemetry/journal.h"
 
-#include <algorithm>
-#include <array>
 #include <chrono>
 #include <cstdlib>
 #include <exception>
-#include <fstream>
-#include <mutex>
+#include <set>
 #include <sstream>
 
 #include "telemetry/json.h"
-#include "telemetry/trace.h"
-#include "telemetry/trace_context.h"
+#include "telemetry/recorder_state.h"
 
 namespace xtalk::telemetry {
-
-namespace internal {
-std::atomic<bool> g_journal{false};
-}  // namespace internal
-
-namespace {
-
-/** Read XTALK_JOURNAL once at process start. */
-struct EnvInit {
-    EnvInit()
-    {
-        if (const char* env = std::getenv("XTALK_JOURNAL")) {
-            internal::g_journal.store(std::string(env) != "0");
-        }
-    }
-};
-const EnvInit g_env_init;
-
-struct Shard {
-    mutable std::mutex mu;
-    std::vector<JournalRecord> events;
-    size_t capacity = Journal::kDefaultShardCapacity;
-    uint64_t dropped = 0;
-    uint64_t next_seq = 1;
-};
-
-}  // namespace
 
 std::string
 JournalValue::ToJsonToken() const
@@ -63,139 +32,34 @@ JournalValue::ToJsonToken() const
     return "null";
 }
 
-void
-SetJournalEnabled(bool enabled)
-{
-    internal::g_journal.store(enabled);
-}
-
-struct Journal::Impl {
-    std::array<Shard, Journal::kNumShards> shards;
-};
-
-Journal::Impl&
-Journal::impl() const
-{
-    static Impl instance;
-    return instance;
-}
-
-Journal&
-Journal::Global()
-{
-    static Journal instance;
-    return instance;
-}
+namespace internal {
 
 void
-Journal::Emit(const char* type,
-              std::initializer_list<std::pair<const char*, JournalValue>>
-                  fields)
+EmitJournal(const char* type,
+            std::initializer_list<std::pair<const char*, JournalValue>>
+                fields)
 {
-    JournalRecord record;
-    record.type = type;
-    record.tid = CurrentTraceTid();
-    // Stamp the emitting thread's trace context here, centrally, so
-    // every emit site — service, scheduler, executor chunks on pool
-    // workers, fault injections — correlates to its request without
-    // each site knowing traces exist. No context, no fields: events
-    // emitted outside any request look exactly as they always did.
-    const TraceContext context = CurrentTraceContext();
-    record.fields.reserve(fields.size() + (context.valid() ? 2 : 0));
-    for (const auto& [key, value] : fields) {
-        record.fields.emplace_back(key, value);
-    }
-    if (context.valid()) {
-        record.fields.emplace_back("trace", context.trace_id());
-        record.fields.emplace_back("span", context.span_id());
-    }
-    const uint32_t shard_index = record.tid % kNumShards;
-    record.shard = shard_index;
-    Shard& shard = impl().shards[shard_index];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (shard.events.size() >= shard.capacity) {
-        ++shard.dropped;
+    if (!Admit(Event::Kind::kJournal)) {
         return;
     }
-    // Timestamp under the shard lock: per-shard timestamps are then
-    // monotonic, so a stable global sort by ts_us preserves shard order.
-    record.ts_us = TraceNowUs();
-    record.seq = shard.next_seq++;
-    shard.events.push_back(std::move(record));
+    const Clock::time_point now = Clock::now();
+    Event event;
+    event.kind = Event::Kind::kJournal;
+    event.name = type;
+    event.fields.assign(fields.begin(), fields.end());
+    Record(std::move(event), now, now);
 }
 
-std::vector<JournalRecord>
-Journal::Snapshot() const
-{
-    std::vector<JournalRecord> merged;
-    for (const Shard& shard : impl().shards) {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        merged.insert(merged.end(), shard.events.begin(),
-                      shard.events.end());
-    }
-    std::stable_sort(merged.begin(), merged.end(),
-                     [](const JournalRecord& a, const JournalRecord& b) {
-                         return a.ts_us < b.ts_us;
-                     });
-    return merged;
-}
-
-uint64_t
-Journal::dropped() const
-{
-    uint64_t total = 0;
-    for (const Shard& shard : impl().shards) {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        total += shard.dropped;
-    }
-    return total;
-}
-
-uint64_t
-Journal::size() const
-{
-    uint64_t total = 0;
-    for (const Shard& shard : impl().shards) {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        total += shard.events.size();
-    }
-    return total;
-}
-
-size_t
-Journal::shard_capacity() const
-{
-    std::lock_guard<std::mutex> lock(impl().shards[0].mu);
-    return impl().shards[0].capacity;
-}
-
-void
-Journal::SetShardCapacity(size_t capacity)
-{
-    for (Shard& shard : impl().shards) {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        shard.capacity = capacity;
-        if (shard.events.size() > capacity) {
-            shard.events.resize(capacity);
-        }
-    }
-}
-
-void
-Journal::Clear()
-{
-    for (Shard& shard : impl().shards) {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        shard.events.clear();
-        shard.dropped = 0;
-        shard.next_seq = 1;
-    }
-}
+}  // namespace internal
 
 std::string
-Journal::ToJsonl() const
+JournalJsonl()
 {
-    const std::vector<JournalRecord> events = Snapshot();
+    const std::vector<Event> events = RecordedEvents(Event::Kind::kJournal);
+    std::set<uint32_t> shards;
+    for (const Event& e : events) {
+        shards.insert(e.tid);
+    }
     std::ostringstream out;
     {
         JsonWriter w;
@@ -203,19 +67,20 @@ Journal::ToJsonl() const
         w.Key("schema").String("xtalk.journal.v1");
         w.Key("run").String(RunId());
         w.Key("events").Number(static_cast<uint64_t>(events.size()));
-        w.Key("dropped").Number(dropped());
-        w.Key("shards").Number(static_cast<uint64_t>(kNumShards));
+        w.Key("dropped").Number(DroppedEventCount(Event::Kind::kJournal));
+        w.Key("shards").Number(static_cast<uint64_t>(shards.size()));
         w.EndObject();
         out << w.str() << "\n";
     }
-    for (const JournalRecord& e : events) {
+    for (const Event& e : events) {
         JsonWriter w;
         w.BeginObject();
         w.Key("ts_us").Number(e.ts_us);
-        w.Key("shard").Number(static_cast<uint64_t>(e.shard));
+        // One shard per emitting thread: its recorder buffer.
+        w.Key("shard").Number(static_cast<uint64_t>(e.tid));
         w.Key("seq").Number(e.seq);
         w.Key("tid").Number(static_cast<uint64_t>(e.tid));
-        w.Key("type").String(e.type);
+        w.Key("type").String(e.name);
         w.EndObject();
         std::string line = w.str();
         // Splice the typed field values in without forcing them all
@@ -223,7 +88,8 @@ Journal::ToJsonl() const
         line.pop_back();  // trailing '}'
         line += ",\"fields\":{";
         bool first = true;
-        for (const auto& [key, value] : e.fields) {
+        const auto field = [&](const std::string& key,
+                               const JournalValue& value) {
             if (!first) {
                 line += ",";
             }
@@ -232,6 +98,15 @@ Journal::ToJsonl() const
             line += JsonEscape(key);
             line += "\":";
             line += value.ToJsonToken();
+        };
+        for (const auto& [key, value] : e.fields) {
+            field(key, value);
+        }
+        // The emitter's trace context, if any, goes last: events emitted
+        // outside any request carry no trace/span fields.
+        if (e.context.valid()) {
+            field("trace", e.context.trace_id());
+            field("span", e.context.span_id());
         }
         line += "}}";
         out << line << "\n";
@@ -239,49 +114,25 @@ Journal::ToJsonl() const
     return out.str();
 }
 
-bool
-Journal::WriteJsonl(const std::string& path, std::string* error) const
-{
-    std::ofstream out(path);
-    if (!out.good()) {
-        if (error) {
-            *error = "cannot open " + path + " for writing";
-        }
-        return false;
-    }
-    out << ToJsonl();
-    out.flush();
-    if (!out.good()) {
-        if (error) {
-            *error = "write to " + path + " failed";
-        }
-        return false;
-    }
-    return true;
-}
-
 namespace {
 
-std::mutex g_run_id_mu;
-std::string g_run_id;
-
-std::mutex g_crash_mu;
-std::string g_crash_path;
+// Guarded by the recorder state's mutex.
 std::terminate_handler g_previous_terminate = nullptr;
 bool g_terminate_installed = false;
 
 [[noreturn]] void
 CrashDumpTerminate()
 {
+    internal::State& state = internal::GlobalState();
     std::string path;
     {
-        std::lock_guard<std::mutex> lock(g_crash_mu);
-        path = g_crash_path;
+        std::lock_guard<std::mutex> lock(state.mu);
+        path = state.crash_path;
     }
     if (!path.empty()) {
         // Best effort: the process is dying; never throw from here.
         try {
-            Journal::Global().WriteJsonl(path);
+            WriteTextFile(path, JournalJsonl());
         } catch (...) {
         }
     }
@@ -296,8 +147,9 @@ CrashDumpTerminate()
 std::string
 RunId()
 {
-    std::lock_guard<std::mutex> lock(g_run_id_mu);
-    if (g_run_id.empty()) {
+    internal::State& state = internal::GlobalState();
+    std::lock_guard<std::mutex> lock(state.mu);
+    if (state.run_id.empty()) {
         // Wall clock + steady clock mix: unique enough to tell runs of
         // the longitudinal workflow apart; no determinism requirement.
         const uint64_t wall = static_cast<uint64_t>(
@@ -309,23 +161,25 @@ RunId()
         uint64_t h = wall * 1099511628211ull ^ mono;
         std::ostringstream oss;
         oss << std::hex << h;
-        g_run_id = oss.str();
+        state.run_id = oss.str();
     }
-    return g_run_id;
+    return state.run_id;
 }
 
 void
 SetRunId(const std::string& run_id)
 {
-    std::lock_guard<std::mutex> lock(g_run_id_mu);
-    g_run_id = run_id;
+    internal::State& state = internal::GlobalState();
+    std::lock_guard<std::mutex> lock(state.mu);
+    state.run_id = run_id;
 }
 
 void
 ArmCrashDump(const std::string& path)
 {
-    std::lock_guard<std::mutex> lock(g_crash_mu);
-    g_crash_path = path;
+    internal::State& state = internal::GlobalState();
+    std::lock_guard<std::mutex> lock(state.mu);
+    state.crash_path = path;
     if (!path.empty() && !g_terminate_installed) {
         g_previous_terminate = std::set_terminate(CrashDumpTerminate);
         g_terminate_installed = true;

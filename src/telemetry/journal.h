@@ -1,7 +1,7 @@
 /**
  * @file
- * Flight-recorder event journal: a lock-sharded, bounded, in-memory
- * log of typed, timestamped, key-value events, drained to JSONL.
+ * Flight-recorder event journal: a bounded, in-memory log of typed,
+ * timestamped, key-value events, drained to JSONL.
  *
  * The metrics registry (telemetry.h) answers "what were the totals of
  * this run?"; the journal answers "what happened, in what order?" —
@@ -12,13 +12,12 @@
  * diagnosable one.
  *
  * Design:
- *  - Sharded: events land in one of kNumShards ring-less bounded
- *    buffers selected by the emitting thread's telemetry tid, so
- *    concurrent emitters rarely contend on one mutex. Timestamps and
- *    sequence numbers are assigned under the shard lock, so events in
- *    one shard are totally ordered by (seq, ts_us).
- *  - Bounded: each shard stops appending at its capacity and counts
- *    drops instead of growing without limit.
+ *  - Per-thread: a journal event is an Event::Kind::kJournal record in
+ *    the emitting thread's recorder buffer (recorder.h), so emitters
+ *    never contend. The JSONL `shard` names that buffer (it equals the
+ *    emitter's tid); within a shard seq and ts_us increase.
+ *  - Bounded: at most kDefaultEventCapacity journal events are kept
+ *    across all threads; later ones are counted as dropped.
  *  - Cheap when off: JournalEmit() is one relaxed atomic load when the
  *    journal is disabled — same contract as the metrics registry.
  *
@@ -30,8 +29,9 @@
  * Output (schema xtalk.journal.v1): one JSON object per line. The
  * first line is a header record; every following line is one event:
  *
- *   {"schema":"xtalk.journal.v1","run":"…","events":12,"dropped":0}
- *   {"ts_us":81.2,"shard":3,"seq":1,"tid":4,"type":"exec.chunk",
+ *   {"schema":"xtalk.journal.v1","run":"…","events":12,"dropped":0,
+ *    "shards":2}
+ *   {"ts_us":81.2,"shard":4,"seq":1,"tid":4,"type":"exec.chunk",
  *    "fields":{"job":0,"chunk":2,"sim_ms":1.25}}
  *
  * See docs/OBSERVABILITY.md for the event-type catalogue.
@@ -110,60 +110,16 @@ class JournalValue {
     } num_ = {0};
 };
 
-/** One journal record. Identity fields (run/job/attempt ids) travel in
- *  `fields` under conventional keys — see docs/OBSERVABILITY.md. */
-struct JournalRecord {
-    double ts_us = 0.0;  ///< Microseconds since the process trace epoch.
-    uint32_t shard = 0;  ///< Shard the event landed in.
-    uint64_t seq = 0;    ///< 1-based sequence number within the shard.
-    uint32_t tid = 0;    ///< Telemetry thread id of the emitter.
-    std::string type;    ///< Event type, dotted lowercase (`exec.chunk`).
-    std::vector<std::pair<std::string, JournalValue>> fields;
-};
+namespace internal {
+/** Record one journal event through the recorder's stamping path. */
+void EmitJournal(
+    const char* type,
+    std::initializer_list<std::pair<const char*, JournalValue>> fields);
+}  // namespace internal
 
-/**
- * The process-wide journal. Appends are sharded by emitting thread;
- * Snapshot()/ToJsonl() merge shards into one timestamp-ordered view
- * that preserves each shard's internal order (per-shard timestamps are
- * monotonic because they are taken under the shard lock).
- */
-class Journal {
-  public:
-    static Journal& Global();
-
-    static constexpr size_t kNumShards = 8;
-    /** Per-shard event bound (default 8192, 64Ki events total). */
-    static constexpr size_t kDefaultShardCapacity = 8192;
-
-    /** Append one event; ts/shard/seq/tid are assigned here. */
-    void Emit(const char* type,
-              std::initializer_list<std::pair<const char*, JournalValue>>
-                  fields);
-
-    /** All retained events, stably sorted by timestamp (per-shard order
-     *  preserved). */
-    std::vector<JournalRecord> Snapshot() const;
-
-    /** Events discarded because their shard was full. */
-    uint64_t dropped() const;
-    /** Retained events across all shards. */
-    uint64_t size() const;
-    size_t shard_capacity() const;
-    /** Shrinking below a shard's current size discards its tail. */
-    void SetShardCapacity(size_t capacity);
-    void Clear();
-
-    /** Serialize header + events as JSONL (see file comment). */
-    std::string ToJsonl() const;
-    /** Write ToJsonl() to @p path. False (with @p error set) on failure. */
-    bool WriteJsonl(const std::string& path,
-                    std::string* error = nullptr) const;
-
-  private:
-    Journal() = default;
-    struct Impl;
-    Impl& impl() const;
-};
+/** Serialize header + retained journal events as JSONL (see file
+ *  comment), ordered by timestamp. Write it with WriteTextFile(). */
+std::string JournalJsonl();
 
 /**
  * Hot-path emit helper: one relaxed atomic load when the journal is
@@ -180,7 +136,7 @@ JournalEmit(const char* type,
     if (!JournalEnabled()) {
         return;
     }
-    Journal::Global().Emit(type, fields);
+    internal::EmitJournal(type, fields);
 }
 
 /**

@@ -3,12 +3,11 @@
 #include <cctype>
 #include <cmath>
 #include <cstdint>
-#include <fstream>
 #include <map>
 #include <sstream>
 #include <vector>
 
-#include "telemetry/telemetry.h"
+#include "telemetry/recorder_state.h"
 
 namespace xtalk::telemetry {
 
@@ -96,26 +95,27 @@ OpenMetricsName(const std::string& dotted)
 std::string
 OpenMetricsText()
 {
-    Registry& reg = Registry::Global();
+    internal::State& state = internal::GlobalState();
+    std::lock_guard<std::mutex> lock(state.metrics_mu);
     std::ostringstream out;
 
-    for (const auto& [name, value] : reg.CounterSamples()) {
+    for (const auto& [name, counter] : state.counters) {
         const std::string family = OpenMetricsName(name);
         EmitFamily(out, family, "counter", name);
-        out << family << "_total " << value << "\n";
+        out << family << "_total " << counter.value() << "\n";
     }
 
-    for (const auto& [name, value] : reg.GaugeSamples()) {
+    for (const auto& [name, gauge] : state.gauges) {
         const std::string family = OpenMetricsName(name);
         EmitFamily(out, family, "gauge", name);
-        out << family << " " << FormatValue(value) << "\n";
+        out << family << " " << FormatValue(gauge.value()) << "\n";
     }
 
-    for (const auto& [name, hist] : reg.HistogramSamples()) {
+    for (const auto& [name, hist] : state.histograms) {
         const std::string family = OpenMetricsName(name);
         EmitFamily(out, family, "histogram", name);
-        const std::vector<double>& bounds = hist->bounds();
-        const std::vector<uint64_t> counts = hist->BucketCounts();
+        const std::vector<double>& bounds = hist.bounds();
+        const std::vector<uint64_t> counts = hist.BucketCounts();
         uint64_t cumulative = 0;
         for (size_t i = 0; i < bounds.size(); ++i) {
             cumulative += counts[i];
@@ -124,16 +124,15 @@ OpenMetricsText()
         }
         cumulative += counts.back();
         out << family << "_bucket{le=\"+Inf\"} " << cumulative << "\n";
-        out << family << "_sum " << FormatValue(hist->sum()) << "\n";
-        out << family << "_count " << hist->count() << "\n";
+        out << family << "_sum " << FormatValue(hist.sum()) << "\n";
+        out << family << "_count " << hist.count() << "\n";
     }
 
-    const auto labels = reg.LabelSamples();
-    if (!labels.empty()) {
+    if (!state.labels.empty()) {
         EmitFamily(out, "xtalk_run_info", "gauge", "labels");
         out << "xtalk_run_info{";
         bool first = true;
-        for (const auto& [key, value] : labels) {
+        for (const auto& [key, value] : state.labels) {
             if (!first) {
                 out << ",";
             }
@@ -153,22 +152,7 @@ OpenMetricsText()
 bool
 WriteOpenMetrics(const std::string& path, std::string* error)
 {
-    std::ofstream out(path);
-    if (!out.good()) {
-        if (error) {
-            *error = "cannot open " + path + " for writing";
-        }
-        return false;
-    }
-    out << OpenMetricsText();
-    out.flush();
-    if (!out.good()) {
-        if (error) {
-            *error = "write to " + path + " failed";
-        }
-        return false;
-    }
-    return true;
+    return WriteTextFile(path, OpenMetricsText(), error);
 }
 
 namespace {

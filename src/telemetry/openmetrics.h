@@ -2,7 +2,7 @@
  * @file
  * OpenMetrics / Prometheus text exporter for the metrics registry.
  *
- * Renders every counter, gauge, and histogram of Registry::Global() in
+ * Renders every counter, gauge, and histogram of the global registry in
  * the OpenMetrics text format so runs can be scraped (or their dumps
  * ingested) by standard tooling. Surfaced via `xtalkc --metrics-prom`.
  *

@@ -1,88 +1,17 @@
 #include "telemetry/profiler.h"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <cstdint>
-#include <cstdlib>
-#include <fstream>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <set>
-#include <sstream>
 
 #include "telemetry/json.h"
-#include "telemetry/telemetry.h"
+#include "telemetry/recorder_state.h"
 
 namespace xtalk::telemetry {
 
-namespace internal {
-std::atomic<bool> g_profiling{false};
-}  // namespace internal
-
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-/** One node of a per-thread accumulation tree. Children are keyed by
- *  span name in a std::map so traversal order is deterministic. */
-struct FrameNode {
-    std::string name;
-    uint64_t calls = 0;
-    double inclusive_us = 0.0;
-    std::map<std::string, std::unique_ptr<FrameNode>> children;
-};
-
-/**
- * A thread's private tree plus its open-frame stack. The mutex guards
- * the tree against concurrent snapshots; enter/exit take it
- * uncontended (spans are coarse-grained — same trade as TraceBuffer).
- */
-struct ThreadTree {
-    std::mutex mu;
-    FrameNode root;  ///< Sentinel; top-level frames are its children.
-    std::vector<FrameNode*> stack;
-};
-
-struct ProfilerState {
-    std::mutex mu;
-    std::vector<ThreadTree*> trees;  ///< Never freed; threads are bounded.
-    Clock::time_point epoch = Clock::now();
-};
-
-ProfilerState&
-State()
-{
-    static ProfilerState state;
-    return state;
-}
-
-thread_local ThreadTree* t_tree = nullptr;
-
-ThreadTree&
-LocalTree()
-{
-    if (t_tree == nullptr) {
-        t_tree = new ThreadTree();
-        ProfilerState& state = State();
-        std::lock_guard<std::mutex> lock(state.mu);
-        state.trees.push_back(t_tree);
-    }
-    return *t_tree;
-}
-
-struct EnvInit {
-    EnvInit()
-    {
-        if (const char* env = std::getenv("XTALK_PROFILE")) {
-            if (std::string(env) != "0") {
-                SetProfilingEnabled(true);
-            }
-        }
-    }
-};
-const EnvInit g_env_init;
+using internal::FrameNode;
 
 /** Merge @p src into @p dst by name, recursively. */
 void
@@ -166,94 +95,46 @@ PruneNode(FrameNode* node, const std::set<FrameNode*>& live)
     }
 }
 
-}  // namespace
-
-namespace internal {
-
-void
-ProfilerEnter(const char* name)
+/** Merge every slot's tree under a "process" root; @p threads (if
+ *  non-null) receives the number of slots that contributed frames. */
+ProfileNode
+MergedTree(size_t* threads)
 {
-    ThreadTree& tree = LocalTree();
-    std::lock_guard<std::mutex> lock(tree.mu);
-    FrameNode* parent = tree.stack.empty() ? &tree.root : tree.stack.back();
-    auto& slot = parent->children[name];
-    if (!slot) {
-        slot = std::make_unique<FrameNode>();
-        slot->name = name;
-    }
-    tree.stack.push_back(slot.get());
-}
-
-void
-ProfilerExit(double dur_us)
-{
-    ThreadTree& tree = LocalTree();
-    std::lock_guard<std::mutex> lock(tree.mu);
-    if (tree.stack.empty()) {
-        return;  // Unbalanced exit (cleared mid-span); drop the sample.
-    }
-    FrameNode* node = tree.stack.back();
-    tree.stack.pop_back();
-    node->calls += 1;
-    node->inclusive_us += dur_us;
-}
-
-}  // namespace internal
-
-void
-SetProfilingEnabled(bool enabled)
-{
-    if (enabled && !ProfilingEnabled()) {
-        ProfilerState& state = State();
+    internal::State& state = internal::GlobalState();
+    ProfileNode root{"process", 1, 0.0, 0.0, {}};
+    size_t contributing = 0;
+    {
         std::lock_guard<std::mutex> lock(state.mu);
-        state.epoch = Clock::now();
+        root.inclusive_us =
+            internal::Micros(internal::Clock::now() - state.profile_epoch);
+        for (internal::Slot& slot : state.slots) {
+            std::lock_guard<std::mutex> slot_lock(slot.mu);
+            // The sentinel's own counters are always zero, so merging it
+            // adds only its children to the root.
+            MergeInto(&root, slot.tree);
+            contributing += slot.tree.children.empty() ? 0 : 1;
+        }
     }
-    internal::g_profiling.store(enabled);
-    if (enabled) {
-        // Frames are fed by ScopedSpan, which is inert while the metric
-        // subsystem is off.
-        SetEnabled(true);
+    FinalizeNode(&root);
+    if (threads != nullptr) {
+        *threads = contributing;
     }
+    return root;
 }
+
+}  // namespace
 
 ProfileNode
 ProfileSnapshot()
 {
-    ProfilerState& state = State();
-    ProfileNode root;
-    root.name = "process";
-    root.calls = 1;
-    std::lock_guard<std::mutex> lock(state.mu);
-    root.inclusive_us = std::chrono::duration<double, std::micro>(
-                            Clock::now() - state.epoch)
-                            .count();
-    for (ThreadTree* tree : state.trees) {
-        std::lock_guard<std::mutex> tree_lock(tree->mu);
-        for (const auto& [name, child] : tree->root.children) {
-            auto it = std::find_if(
-                root.children.begin(), root.children.end(),
-                [&](const ProfileNode& n) { return n.name == name; });
-            if (it == root.children.end()) {
-                root.children.push_back(ProfileNode{name, 0, 0.0, 0.0, {}});
-                it = std::prev(root.children.end());
-            }
-            MergeInto(&*it, *child);
-        }
-    }
-    FinalizeNode(&root);
-    return root;
+    return MergedTree(nullptr);
 }
 
 std::string
 ProfileJson()
 {
-    const ProfileNode root = ProfileSnapshot();
     size_t threads = 0;
-    {
-        ProfilerState& state = State();
-        std::lock_guard<std::mutex> lock(state.mu);
-        threads = state.trees.size();
-    }
+    const ProfileNode root = MergedTree(&threads);
     JsonWriter w;
     w.BeginObject();
     w.Key("schema").String("xtalk.profile.v1");
@@ -284,55 +165,29 @@ CollapsedStacks()
 void
 ResetProfile()
 {
-    ProfilerState& state = State();
+    internal::State& state = internal::GlobalState();
     std::lock_guard<std::mutex> lock(state.mu);
-    state.epoch = Clock::now();
-    for (ThreadTree* tree : state.trees) {
-        std::lock_guard<std::mutex> tree_lock(tree->mu);
+    state.profile_epoch = internal::Clock::now();
+    for (internal::Slot& slot : state.slots) {
+        std::lock_guard<std::mutex> slot_lock(slot.mu);
         // Nodes on the open-frame stack stay alive (a live ScopedSpan
         // will still exit into them); everything else is dropped.
-        const std::set<FrameNode*> live(tree->stack.begin(),
-                                        tree->stack.end());
-        PruneNode(&tree->root, live);
+        const std::set<FrameNode*> live(slot.frames.begin(),
+                                        slot.frames.end());
+        PruneNode(&slot.tree, live);
     }
 }
-
-namespace {
-
-bool
-WriteText(const std::string& path, const std::string& text,
-          std::string* error)
-{
-    std::ofstream out(path);
-    if (!out.good()) {
-        if (error) {
-            *error = "cannot open " + path + " for writing";
-        }
-        return false;
-    }
-    out << text;
-    out.flush();
-    if (!out.good()) {
-        if (error) {
-            *error = "write to " + path + " failed";
-        }
-        return false;
-    }
-    return true;
-}
-
-}  // namespace
 
 bool
 WriteProfileJson(const std::string& path, std::string* error)
 {
-    return WriteText(path, ProfileJson() + "\n", error);
+    return WriteTextFile(path, ProfileJson() + "\n", error);
 }
 
 bool
 WriteCollapsedStacks(const std::string& path, std::string* error)
 {
-    return WriteText(path, CollapsedStacks(), error);
+    return WriteTextFile(path, CollapsedStacks(), error);
 }
 
 }  // namespace xtalk::telemetry

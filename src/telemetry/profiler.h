@@ -4,7 +4,7 @@
  * ScopedSpan machinery (trace.h), aggregated into a merged cost tree.
  *
  * Where the metrics registry answers "how long did X take in total?"
- * (one flat histogram per span name) and the trace buffer answers "when
+ * (one flat histogram per span name) and the Chrome trace answers "when
  * did each X happen?", the profiler answers "WHO spent the time": every
  * completed span is attributed to its full ancestor path, so the same
  * `sim.statevector.run` work shows up separately under
@@ -15,8 +15,9 @@
  *  - inclusive    wall time inside the span, children included,
  *  - exclusive    inclusive minus the children's inclusive (self time).
  *
- * Aggregation model: each thread owns a private tree keyed by span
- * name; ProfileSnapshot() merges the per-thread trees by name under a
+ * Aggregation model: each thread's recorder slot (recorder.h) holds a
+ * private tree keyed by span name, folded at span close;
+ * ProfileSnapshot() merges the per-thread trees by name under a
  * synthetic "process" root whose inclusive time is the wall time since
  * profiling was enabled (or last ResetProfile()). Worker-thread frames
  * (e.g. `runtime.pool.job` -> `runtime.executor.chunk` ->
@@ -48,12 +49,6 @@ namespace xtalk::telemetry {
 
 namespace internal {
 extern std::atomic<bool> g_profiling;
-
-/** Called by ScopedSpan on entry of an active span while profiling. */
-void ProfilerEnter(const char* name);
-/** Called by ScopedSpan on exit, with the span's duration. The calls
- *  are strictly LIFO per thread (RAII guarantees it). */
-void ProfilerExit(double dur_us);
 }  // namespace internal
 
 /** True when spans also feed the profiler (relaxed load). */

@@ -1,35 +1,16 @@
 #include "telemetry/telemetry.h"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
-#include <map>
-#include <memory>
-#include <mutex>
 #include <stdexcept>
 
 #include "telemetry/json.h"
+#include "telemetry/recorder_state.h"
 
 namespace xtalk::telemetry {
 
-namespace internal {
-std::atomic<bool> g_enabled{false};
-}  // namespace internal
-
 namespace {
-
-/** Read XTALK_TELEMETRY once at process start. */
-struct EnvInit {
-    EnvInit()
-    {
-        if (const char* env = std::getenv("XTALK_TELEMETRY")) {
-            internal::g_enabled.store(std::string(env) != "0");
-        }
-    }
-};
-const EnvInit g_env_init;
 
 /** CAS-loop update for atomic min/max of doubles. */
 void
@@ -53,12 +34,6 @@ AtomicMax(std::atomic<double>* target, double value)
 }
 
 }  // namespace
-
-void
-SetEnabled(bool enabled)
-{
-    internal::g_enabled.store(enabled);
-}
 
 Histogram::Histogram(std::vector<double> upper_bounds)
     : bounds_(std::move(upper_bounds)),
@@ -131,6 +106,14 @@ Histogram::Percentile(double p) const
         return 0.0;
     }
     p = std::clamp(p, 0.0, 100.0);
+    // Interpolation can land anywhere in the winning bucket, e.g. past
+    // the largest sample; the estimate never leaves the recorded range
+    // (unordered only while a first sample is still being recorded).
+    const double min = RecordedMin();
+    const double max = RecordedMax();
+    const auto clamped = [min, max](double v) {
+        return min <= max ? std::clamp(v, min, max) : v;
+    };
     const double rank = p / 100.0 * static_cast<double>(total);
     uint64_t running = 0;
     for (size_t i = 0; i < counts.size(); ++i) {
@@ -142,14 +125,14 @@ Histogram::Percentile(double p) const
             if (i == counts.size() - 1) {
                 return RecordedMax();
             }
-            const double lo = i == 0 ? std::min(RecordedMin(), bounds_[0])
-                                     : bounds_[i - 1];
+            const double lo =
+                i == 0 ? std::min(min, bounds_[0]) : bounds_[i - 1];
             const double hi = bounds_[i];
             const double before =
                 static_cast<double>(running - counts[i]);
             const double frac =
                 (rank - before) / static_cast<double>(counts[i]);
-            return lo + (hi - lo) * std::clamp(frac, 0.0, 1.0);
+            return clamped(lo + (hi - lo) * std::clamp(frac, 0.0, 1.0));
         }
     }
     return RecordedMax();
@@ -175,22 +158,6 @@ Histogram::Reset()
                std::memory_order_relaxed);
 }
 
-struct Registry::Impl {
-    mutable std::mutex mu;
-    // unique_ptr keeps addresses stable across rehash/rebalance.
-    std::map<std::string, std::unique_ptr<Counter>> counters;
-    std::map<std::string, std::unique_ptr<Gauge>> gauges;
-    std::map<std::string, std::unique_ptr<Histogram>> histograms;
-    std::map<std::string, std::string> labels;
-};
-
-Registry::Impl&
-Registry::impl() const
-{
-    static Impl instance;
-    return instance;
-}
-
 Registry&
 Registry::Global()
 {
@@ -198,88 +165,123 @@ Registry::Global()
     return instance;
 }
 
-Counter&
-Registry::counter(const std::string& name)
+std::vector<std::pair<std::string, uint64_t>>
+Registry::CounterSamples() const
 {
-    Impl& im = impl();
-    std::lock_guard<std::mutex> lock(im.mu);
-    auto& slot = im.counters[name];
-    if (!slot) {
-        slot = std::make_unique<Counter>();
+    internal::State& im = internal::GlobalState();
+    std::lock_guard<std::mutex> lock(im.metrics_mu);
+    std::vector<std::pair<std::string, uint64_t>> out;
+    out.reserve(im.counters.size());
+    for (const auto& [name, c] : im.counters) {
+        out.emplace_back(name, c.value());
     }
-    return *slot;
+    return out;
 }
 
-Gauge&
-Registry::gauge(const std::string& name)
+std::vector<std::pair<std::string, const Histogram*>>
+Registry::HistogramSamples() const
 {
-    Impl& im = impl();
-    std::lock_guard<std::mutex> lock(im.mu);
-    auto& slot = im.gauges[name];
-    if (!slot) {
-        slot = std::make_unique<Gauge>();
+    internal::State& im = internal::GlobalState();
+    std::lock_guard<std::mutex> lock(im.metrics_mu);
+    std::vector<std::pair<std::string, const Histogram*>> out;
+    out.reserve(im.histograms.size());
+    for (const auto& [name, h] : im.histograms) {
+        out.emplace_back(name, &h);
     }
-    return *slot;
-}
-
-Histogram&
-Registry::histogram(const std::string& name,
-                    const std::vector<double>& upper_bounds)
-{
-    Impl& im = impl();
-    std::lock_guard<std::mutex> lock(im.mu);
-    auto& slot = im.histograms[name];
-    if (!slot) {
-        slot = std::make_unique<Histogram>(
-            upper_bounds.empty() ? DefaultTimeBucketsMs() : upper_bounds);
-    }
-    return *slot;
+    return out;
 }
 
 void
-Registry::SetLabel(const std::string& key, const std::string& value)
+Registry::Reset()
 {
-    Impl& im = impl();
-    std::lock_guard<std::mutex> lock(im.mu);
+    internal::State& im = internal::GlobalState();
+    std::lock_guard<std::mutex> lock(im.metrics_mu);
+    for (auto& [name, c] : im.counters) {
+        c.Reset();
+    }
+    for (auto& [name, g] : im.gauges) {
+        g.Reset();
+    }
+    for (auto& [name, h] : im.histograms) {
+        h.Reset();
+    }
+    im.labels.clear();
+}
+
+Counter&
+GetCounter(const std::string& name)
+{
+    internal::State& im = internal::GlobalState();
+    std::lock_guard<std::mutex> lock(im.metrics_mu);
+    return im.counters.try_emplace(name).first->second;
+}
+
+Gauge&
+GetGauge(const std::string& name)
+{
+    internal::State& im = internal::GlobalState();
+    std::lock_guard<std::mutex> lock(im.metrics_mu);
+    return im.gauges.try_emplace(name).first->second;
+}
+
+Histogram&
+GetHistogram(const std::string& name,
+             const std::vector<double>& upper_bounds)
+{
+    internal::State& im = internal::GlobalState();
+    std::lock_guard<std::mutex> lock(im.metrics_mu);
+    return im.histograms
+        .try_emplace(name,
+                     upper_bounds.empty() ? im.time_buckets_ms : upper_bounds)
+        .first->second;
+}
+
+void
+SetLabel(const std::string& key, const std::string& value)
+{
+    internal::State& im = internal::GlobalState();
+    std::lock_guard<std::mutex> lock(im.metrics_mu);
     im.labels[key] = value;
 }
 
 std::string
-Registry::ToJson() const
+StatsJson()
 {
-    Impl& im = impl();
-    std::lock_guard<std::mutex> lock(im.mu);
+    internal::State& im = internal::GlobalState();
+    std::lock_guard<std::mutex> lock(im.metrics_mu);
     JsonWriter w;
     w.BeginObject();
+    w.Key("schema").String("xtalk.stats.v1");
+    w.Key("enabled").Bool(Enabled());
     w.Key("counters").BeginObject();
     for (const auto& [name, c] : im.counters) {
-        w.Key(name).Number(c->value());
+        w.Key(name).Number(c.value());
     }
     w.EndObject();
     w.Key("gauges").BeginObject();
     for (const auto& [name, g] : im.gauges) {
-        w.Key(name).Number(g->value());
+        w.Key(name).Number(g.value());
     }
     w.EndObject();
     w.Key("histograms").BeginObject();
     for (const auto& [name, h] : im.histograms) {
         w.Key(name).BeginObject();
-        w.Key("count").Number(h->count());
-        w.Key("sum").Number(h->sum());
-        w.Key("mean").Number(h->Mean());
-        w.Key("min").Number(h->RecordedMin());
-        w.Key("max").Number(h->RecordedMax());
-        w.Key("p50").Number(h->Percentile(50));
-        w.Key("p90").Number(h->Percentile(90));
-        w.Key("p95").Number(h->Percentile(95));
-        w.Key("p99").Number(h->Percentile(99));
+        w.Key("count").Number(h.count());
+        w.Key("sum").Number(h.sum());
+        w.Key("mean").Number(h.Mean());
+        w.Key("min").Number(h.RecordedMin());
+        w.Key("max").Number(h.RecordedMax());
+        w.Key("p50").Number(h.Percentile(50));
+        w.Key("p90").Number(h.Percentile(90));
+        w.Key("p95").Number(h.Percentile(95));
+        w.Key("p99").Number(h.Percentile(99));
         w.Key("bounds").BeginArray();
-        for (const double b : h->bounds()) {
+        for (const double b : h.bounds()) {
             w.Number(b);
         }
         w.EndArray();
         w.Key("buckets").BeginArray();
-        for (const uint64_t c : h->BucketCounts()) {
+        for (const uint64_t c : h.BucketCounts()) {
             w.Number(c);
         }
         w.EndArray();
@@ -295,168 +297,15 @@ Registry::ToJson() const
     return w.str();
 }
 
-std::vector<std::pair<std::string, uint64_t>>
-Registry::CounterSamples() const
+bool
+WriteStatsJson(const std::string& path, std::string* error)
 {
-    Impl& im = impl();
-    std::lock_guard<std::mutex> lock(im.mu);
-    std::vector<std::pair<std::string, uint64_t>> out;
-    out.reserve(im.counters.size());
-    for (const auto& [name, c] : im.counters) {
-        out.emplace_back(name, c->value());
-    }
-    return out;
-}
-
-std::vector<std::pair<std::string, double>>
-Registry::GaugeSamples() const
-{
-    Impl& im = impl();
-    std::lock_guard<std::mutex> lock(im.mu);
-    std::vector<std::pair<std::string, double>> out;
-    out.reserve(im.gauges.size());
-    for (const auto& [name, g] : im.gauges) {
-        out.emplace_back(name, g->value());
-    }
-    return out;
-}
-
-std::vector<std::pair<std::string, const Histogram*>>
-Registry::HistogramSamples() const
-{
-    Impl& im = impl();
-    std::lock_guard<std::mutex> lock(im.mu);
-    std::vector<std::pair<std::string, const Histogram*>> out;
-    out.reserve(im.histograms.size());
-    for (const auto& [name, h] : im.histograms) {
-        out.emplace_back(name, h.get());
-    }
-    return out;
-}
-
-std::vector<std::pair<std::string, std::string>>
-Registry::LabelSamples() const
-{
-    Impl& im = impl();
-    std::lock_guard<std::mutex> lock(im.mu);
-    return {im.labels.begin(), im.labels.end()};
-}
-
-void
-Registry::Reset()
-{
-    Impl& im = impl();
-    std::lock_guard<std::mutex> lock(im.mu);
-    for (auto& [name, c] : im.counters) {
-        c->Reset();
-    }
-    for (auto& [name, g] : im.gauges) {
-        g->Reset();
-    }
-    for (auto& [name, h] : im.histograms) {
-        h->Reset();
-    }
-    im.labels.clear();
-}
-
-Counter&
-GetCounter(const std::string& name)
-{
-    return Registry::Global().counter(name);
-}
-
-Gauge&
-GetGauge(const std::string& name)
-{
-    return Registry::Global().gauge(name);
-}
-
-Histogram&
-GetHistogram(const std::string& name,
-             const std::vector<double>& upper_bounds)
-{
-    return Registry::Global().histogram(name, upper_bounds);
-}
-
-void
-SetLabel(const std::string& key, const std::string& value)
-{
-    Registry::Global().SetLabel(key, value);
-}
-
-namespace {
-
-/** Parse XTALK_HIST_BOUNDS ("0.5,1,5,10" in ms). Empty on any
- *  malformed or non-ascending input so callers fall back cleanly. */
-std::vector<double>
-ParseHistBoundsEnv(const char* env)
-{
-    std::vector<double> bounds;
-    std::string text(env);
-    size_t start = 0;
-    while (start <= text.size()) {
-        size_t comma = text.find(',', start);
-        if (comma == std::string::npos) {
-            comma = text.size();
-        }
-        const std::string token = text.substr(start, comma - start);
-        start = comma + 1;
-        if (token.empty()) {
-            continue;
-        }
-        try {
-            size_t used = 0;
-            const double v = std::stod(token, &used);
-            if (used != token.size() || !std::isfinite(v)) {
-                return {};
-            }
-            if (!bounds.empty() && v <= bounds.back()) {
-                return {};
-            }
-            bounds.push_back(v);
-        } catch (const std::exception&) {
-            return {};
-        }
-    }
-    return bounds;
-}
-
-}  // namespace
-
-const std::vector<double>&
-DefaultTimeBucketsMs()
-{
-    static const std::vector<double> buckets = [] {
-        if (const char* env = std::getenv("XTALK_HIST_BOUNDS")) {
-            std::vector<double> parsed = ParseHistBoundsEnv(env);
-            if (!parsed.empty()) {
-                return parsed;
-            }
-        }
-        return std::vector<double>{
-            0.001, 0.003, 0.01, 0.03, 0.1,  0.3,  1.0,     3.0,
-            10.0,  30.0,  100.0, 300.0, 1e3, 3e3, 10e3, 30e3, 120e3};
-    }();
-    return buckets;
-}
-
-std::string
-StatsJson()
-{
-    const std::string body = Registry::Global().ToJson();
-    JsonWriter w;
-    w.BeginObject();
-    w.Key("schema").String("xtalk.stats.v1");
-    w.Key("enabled").Bool(Enabled());
-    w.EndObject();
-    // Splice the registry members into the envelope object.
-    std::string head = w.str();
-    head.pop_back();  // trailing '}'
-    return head + "," + body.substr(1);
+    return WriteTextFile(path, StatsJson() + "\n", error);
 }
 
 bool
-WriteStatsJson(const std::string& path, std::string* error)
+WriteTextFile(const std::string& path, const std::string& text,
+              std::string* error)
 {
     std::ofstream out(path);
     if (!out.good()) {
@@ -465,7 +314,7 @@ WriteStatsJson(const std::string& path, std::string* error)
         }
         return false;
     }
-    out << StatsJson() << "\n";
+    out << text;
     out.flush();
     if (!out.good()) {
         if (error) {

@@ -19,7 +19,8 @@
  *
  * Enablement: SetEnabled(true) programmatically, or environment
  * variable XTALK_TELEMETRY=1 (read once at process start). Tracing
- * (see trace.h) is gated separately.
+ * (see trace.h) is gated separately. The registry lives in the
+ * recorder's never-destroyed state (recorder.h).
  */
 #ifndef XTALK_TELEMETRY_TELEMETRY_H
 #define XTALK_TELEMETRY_TELEMETRY_H
@@ -117,7 +118,8 @@ class Gauge {
  * greater than bounds[i-1]); one implicit overflow bucket catches the
  * rest. Recording is wait-free (relaxed atomics per bucket plus
  * CAS loops for min/max). Percentiles are estimated by linear
- * interpolation within the winning bucket.
+ * interpolation within the winning bucket and never leave the range of
+ * recorded values.
  */
 class Histogram {
   public:
@@ -135,7 +137,8 @@ class Histogram {
     const std::vector<double>& bounds() const { return bounds_; }
     /** Bucket occupancy, bounds().size() + 1 entries (last = overflow). */
     std::vector<uint64_t> BucketCounts() const;
-    /** Interpolated percentile estimate, @p p in [0, 100]. */
+    /** Interpolated percentile estimate, @p p in [0, 100], clamped to
+     *  [RecordedMin(), RecordedMax()]. */
     double Percentile(double p) const;
     /** Interpolated quantile estimate, @p q in [0, 1]. Quantile(0.95)
      *  == Percentile(95); the OpenMetrics-friendly spelling. */
@@ -153,83 +156,61 @@ class Histogram {
 };
 
 /**
- * The process-wide metric registry. Lookup is mutex-protected (do it
- * once per site and cache the reference); recording on the returned
- * objects is lock-free.
+ * The process-wide metric registry. Lookup through GetCounter() and
+ * friends is mutex-protected (do it once per site and cache the
+ * reference); recording on the returned objects is lock-free.
  */
 class Registry {
   public:
     static Registry& Global();
 
-    Counter& counter(const std::string& name);
-    Gauge& gauge(const std::string& name);
     /**
-     * Find-or-create a histogram. @p upper_bounds applies on creation
-     * only (empty = DefaultTimeBucketsMs()); later callers get the
-     * existing instance regardless of the bounds they pass.
-     */
-    Histogram& histogram(const std::string& name,
-                         const std::vector<double>& upper_bounds = {});
-
-    /** Free-form string label, e.g. backend or device tags. */
-    void SetLabel(const std::string& key, const std::string& value);
-
-    /**
-     * Serialize every metric:
-     * {"counters":{...},"gauges":{...},"histograms":{name:
-     *  {"count","sum","mean","min","max","p50","p90","p95","p99",
-     *   "bounds":[...],"buckets":[...]}},"labels":{...}}
-     */
-    std::string ToJson() const;
-
-    /**
-     * Point-in-time copies of every metric, for exporters (see
-     * openmetrics.h). Histogram entries are stable pointers — metric
-     * objects are never destroyed — so reading them after the snapshot
-     * is safe, though values may advance between calls.
+     * Point-in-time copies of the counters, and stable pointers to the
+     * histograms — metric objects are never destroyed — so reading them
+     * after the snapshot is safe, though values may advance between
+     * calls.
      */
     std::vector<std::pair<std::string, uint64_t>> CounterSamples() const;
-    std::vector<std::pair<std::string, double>> GaugeSamples() const;
     std::vector<std::pair<std::string, const Histogram*>>
     HistogramSamples() const;
-    std::vector<std::pair<std::string, std::string>> LabelSamples() const;
 
     /** Zero all values and drop labels; metric objects survive. */
     void Reset();
 
   private:
     Registry() = default;
-    struct Impl;
-    Impl& impl() const;
 };
 
-/** Shorthands for Registry::Global(). */
+/** Find-or-create a metric in the global registry. */
 Counter& GetCounter(const std::string& name);
 Gauge& GetGauge(const std::string& name);
+/**
+ * Find-or-create a histogram. @p upper_bounds applies on creation only
+ * (empty = the default duration buckets, 1us to ~2min in 3x steps);
+ * later callers get the existing instance regardless of the bounds
+ * they pass.
+ */
 Histogram& GetHistogram(const std::string& name,
                         const std::vector<double>& upper_bounds = {});
+/** Free-form string label, e.g. backend or device tags. */
 void SetLabel(const std::string& key, const std::string& value);
 
 /**
- * Default duration buckets in milliseconds: 1us to ~2min in roughly
- * 3x steps. Suits everything from a single gate application to a full
- * characterization run. Overridable process-wide via the
- * XTALK_HIST_BOUNDS environment variable (comma-separated ascending
- * upper bounds in ms, read once at first use; malformed values are
- * ignored), for workloads whose durations cluster outside the default
- * range. Histograms created with explicit bounds are unaffected.
- */
-const std::vector<double>& DefaultTimeBucketsMs();
-
-/**
- * Full machine-readable snapshot:
- * {"schema":"xtalk.stats.v1","enabled":...,<Registry::ToJson()
- * members>}. This is the payload behind `xtalkc --stats-json`.
+ * Full machine-readable snapshot of every metric:
+ * {"schema":"xtalk.stats.v1","enabled":...,"counters":{...},
+ *  "gauges":{...},"histograms":{name:{"count","sum","mean","min","max",
+ *  "p50","p90","p95","p99","bounds":[...],"buckets":[...]}},
+ *  "labels":{...}}. This is the payload behind `xtalkc --stats-json`.
  */
 std::string StatsJson();
 
 /** Write StatsJson() to @p path. False (with @p error set) on I/O failure. */
 bool WriteStatsJson(const std::string& path, std::string* error = nullptr);
+
+/** The file writer behind every telemetry export: write @p text to
+ *  @p path. False (with @p error set) on I/O failure. */
+bool WriteTextFile(const std::string& path, const std::string& text,
+                   std::string* error = nullptr);
 
 }  // namespace xtalk::telemetry
 

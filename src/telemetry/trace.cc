@@ -1,175 +1,54 @@
 #include "telemetry/trace.h"
 
-#include <cstdlib>
-#include <fstream>
 #include <map>
-#include <mutex>
 
 #include "telemetry/json.h"
 #include "telemetry/profiler.h"
-#include "telemetry/trace_context.h"
+#include "telemetry/recorder_state.h"
 
 namespace xtalk::telemetry {
 
-namespace internal {
-std::atomic<bool> g_tracing{false};
-}  // namespace internal
-
 namespace {
 
-struct EnvInit {
-    EnvInit()
-    {
-        if (const char* env = std::getenv("XTALK_TRACE")) {
-            if (std::string(env) != "0") {
-                internal::g_tracing.store(true);
-                // Tracing without metrics makes no sense: spans check
-                // Enabled() first.
-                SetEnabled(true);
-            }
-        }
-    }
-};
-const EnvInit g_env_init;
+using internal::FrameNode;
+using internal::Slot;
 
-std::chrono::steady_clock::time_point
-TraceEpoch()
+/** Open a profile frame for @p name inside the slot's innermost one. */
+void
+EnterFrame(Slot& slot, const char* name)
 {
-    static const auto epoch = std::chrono::steady_clock::now();
-    return epoch;
+    std::lock_guard<std::mutex> lock(slot.mu);
+    FrameNode* parent = slot.frames.empty() ? &slot.tree : slot.frames.back();
+    auto& child = parent->children[name];
+    if (!child) {
+        child = std::make_unique<FrameNode>();
+    }
+    slot.frames.push_back(child.get());
 }
 
-thread_local uint32_t t_depth = 0;
-
-/** tid -> human name, fed by SetCurrentThreadName. */
-struct ThreadNameRegistry {
-    std::mutex mu;
-    std::map<uint32_t, std::string> names;
-};
-
-ThreadNameRegistry&
-NameRegistry()
+/** Close the innermost frame (RAII keeps frames LIFO per thread),
+ *  folding its duration into the cost tree. */
+void
+ExitFrame(Slot& slot, double dur_us)
 {
-    static ThreadNameRegistry registry;
-    return registry;
+    std::lock_guard<std::mutex> lock(slot.mu);
+    if (slot.frames.empty()) {
+        return;  // Unbalanced exit (cleared mid-span); drop the sample.
+    }
+    FrameNode* node = slot.frames.back();
+    slot.frames.pop_back();
+    node->calls += 1;
+    node->inclusive_us += dur_us;
 }
 
 }  // namespace
 
 void
-SetTracingEnabled(bool enabled)
-{
-    internal::g_tracing.store(enabled);
-}
-
-struct TraceBuffer::Impl {
-    mutable std::mutex mu;
-    std::vector<TraceEvent> events;
-    size_t capacity = 1 << 16;
-    uint64_t dropped = 0;
-};
-
-TraceBuffer::Impl&
-TraceBuffer::impl() const
-{
-    static Impl instance;
-    return instance;
-}
-
-TraceBuffer&
-TraceBuffer::Global()
-{
-    static TraceBuffer instance;
-    return instance;
-}
-
-void
-TraceBuffer::Append(TraceEvent event)
-{
-    Impl& im = impl();
-    std::lock_guard<std::mutex> lock(im.mu);
-    if (im.events.size() >= im.capacity) {
-        ++im.dropped;
-        return;
-    }
-    im.events.push_back(std::move(event));
-}
-
-std::vector<TraceEvent>
-TraceBuffer::Snapshot() const
-{
-    Impl& im = impl();
-    std::lock_guard<std::mutex> lock(im.mu);
-    return im.events;
-}
-
-uint64_t
-TraceBuffer::dropped() const
-{
-    Impl& im = impl();
-    std::lock_guard<std::mutex> lock(im.mu);
-    return im.dropped;
-}
-
-size_t
-TraceBuffer::capacity() const
-{
-    Impl& im = impl();
-    std::lock_guard<std::mutex> lock(im.mu);
-    return im.capacity;
-}
-
-void
-TraceBuffer::SetCapacity(size_t capacity)
-{
-    Impl& im = impl();
-    std::lock_guard<std::mutex> lock(im.mu);
-    im.capacity = capacity;
-    if (im.events.size() > capacity) {
-        im.events.resize(capacity);
-    }
-}
-
-void
-TraceBuffer::Clear()
-{
-    Impl& im = impl();
-    std::lock_guard<std::mutex> lock(im.mu);
-    im.events.clear();
-    im.dropped = 0;
-}
-
-uint32_t
-CurrentTraceTid()
-{
-    static std::atomic<uint32_t> next{1};
-    thread_local const uint32_t tid = next.fetch_add(1);
-    return tid;
-}
-
-double
-TraceNowUs()
-{
-    return std::chrono::duration<double, std::micro>(
-               std::chrono::steady_clock::now() - TraceEpoch())
-        .count();
-}
-
-void
 SetCurrentThreadName(const std::string& name)
 {
-    ThreadNameRegistry& registry = NameRegistry();
-    const uint32_t tid = CurrentTraceTid();
-    std::lock_guard<std::mutex> lock(registry.mu);
-    registry.names[tid] = name;
-}
-
-std::vector<std::pair<uint32_t, std::string>>
-ThreadNames()
-{
-    ThreadNameRegistry& registry = NameRegistry();
-    std::lock_guard<std::mutex> lock(registry.mu);
-    return {registry.names.begin(), registry.names.end()};
+    Slot& slot = internal::LocalSlot();
+    std::lock_guard<std::mutex> lock(slot.mu);
+    slot.name = name;
 }
 
 ScopedSpan::ScopedSpan(const char* name, const char* category)
@@ -178,17 +57,13 @@ ScopedSpan::ScopedSpan(const char* name, const char* category)
     if (!active_) {
         return;
     }
-    depth_ = t_depth++;
+    Slot& slot = internal::LocalSlot();
+    depth_ = slot.depth++;
     if (ProfilingEnabled()) {
         profiled_ = true;
-        internal::ProfilerEnter(name_);
+        EnterFrame(slot, name_);
     }
-    // Pin the epoch before the first start timestamp so ts_us >= 0.
-    TraceEpoch();
-    start_ = std::chrono::steady_clock::now();
-    start_us_ = std::chrono::duration<double, std::micro>(start_ -
-                                                          TraceEpoch())
-                    .count();
+    start_ = internal::Clock::now();
 }
 
 ScopedSpan::~ScopedSpan()
@@ -196,31 +71,27 @@ ScopedSpan::~ScopedSpan()
     if (!active_) {
         return;
     }
-    const auto end = std::chrono::steady_clock::now();
-    --t_depth;
-    const double dur_ms =
-        std::chrono::duration<double, std::milli>(end - start_).count();
+    const auto end = internal::Clock::now();
+    Slot& slot = internal::LocalSlot();
+    --slot.depth;
+    const double dur_us = internal::Micros(end - start_);
     if (profiled_) {
-        internal::ProfilerExit(dur_ms * 1000.0);
+        ExitFrame(slot, dur_us);
     }
-    GetHistogram("span." + std::string(name_) + ".ms").Record(dur_ms);
-    if (TracingEnabled()) {
-        TraceEvent event;
+    GetHistogram("span." + std::string(name_) + ".ms").Record(dur_us / 1e3);
+    if (TracingEnabled() && internal::Admit(Event::Kind::kSpan)) {
+        Event event;
         event.name = name_;
         event.category = category_;
-        event.trace = CurrentTraceContext().trace_id();
-        event.ts_us = start_us_;
-        event.dur_us = dur_ms * 1000.0;
-        event.tid = CurrentTraceTid();
         event.depth = depth_;
-        TraceBuffer::Global().Append(std::move(event));
+        internal::Record(std::move(event), start_, end);
     }
 }
 
 std::string
 TraceJson()
 {
-    const std::vector<TraceEvent> events = TraceBuffer::Global().Snapshot();
+    const std::vector<Event> events = RecordedEvents(Event::Kind::kSpan);
     JsonWriter w;
     w.BeginObject();
     w.Key("displayTimeUnit").String("ms");
@@ -236,16 +107,24 @@ TraceJson()
     w.Key("name").String("xtalk");
     w.EndObject();
     w.EndObject();
-    for (const auto& [tid, name] : ThreadNames()) {
-        w.BeginObject();
-        w.Key("name").String("thread_name");
-        w.Key("ph").String("M");
-        w.Key("pid").Number(uint64_t{1});
-        w.Key("tid").Number(static_cast<uint64_t>(tid));
-        w.Key("args").BeginObject();
-        w.Key("name").String(name);
-        w.EndObject();
-        w.EndObject();
+    {
+        internal::State& state = internal::GlobalState();
+        std::lock_guard<std::mutex> lock(state.mu);
+        for (Slot& slot : state.slots) {
+            std::lock_guard<std::mutex> slot_lock(slot.mu);
+            if (slot.name.empty()) {
+                continue;
+            }
+            w.BeginObject();
+            w.Key("name").String("thread_name");
+            w.Key("ph").String("M");
+            w.Key("pid").Number(uint64_t{1});
+            w.Key("tid").Number(static_cast<uint64_t>(slot.tid));
+            w.Key("args").BeginObject();
+            w.Key("name").String(slot.name);
+            w.EndObject();
+            w.EndObject();
+        }
     }
     // One async lane per request trace ("ph":"b"/"e" pairs keyed by
     // the trace id): Perfetto renders each request as its own track
@@ -257,12 +136,12 @@ TraceJson()
         double end_us;
     };
     std::map<std::string, Extent> requests;
-    for (const TraceEvent& e : events) {
-        if (e.trace.empty()) {
+    for (const Event& e : events) {
+        if (!e.context.valid()) {
             continue;
         }
         auto [it, inserted] = requests.try_emplace(
-            e.trace, Extent{e.ts_us, e.ts_us + e.dur_us});
+            e.context.trace_id(), Extent{e.ts_us, e.ts_us + e.dur_us});
         if (!inserted) {
             it->second.begin_us = std::min(it->second.begin_us, e.ts_us);
             it->second.end_us =
@@ -286,7 +165,7 @@ TraceJson()
             w.EndObject();
         }
     }
-    for (const TraceEvent& e : events) {
+    for (const Event& e : events) {
         w.BeginObject();
         w.Key("name").String(e.name);
         w.Key("cat").String(e.category);
@@ -295,9 +174,9 @@ TraceJson()
         w.Key("tid").Number(static_cast<uint64_t>(e.tid));
         w.Key("ts").Number(e.ts_us);
         w.Key("dur").Number(e.dur_us);
-        if (!e.trace.empty()) {
+        if (e.context.valid()) {
             w.Key("args").BeginObject();
-            w.Key("trace").String(e.trace);
+            w.Key("trace").String(e.context.trace_id());
             w.EndObject();
         }
         w.EndObject();
@@ -305,8 +184,7 @@ TraceJson()
     w.EndArray();
     w.Key("otherData").BeginObject();
     w.Key("schema").String("xtalk.trace.v1");
-    w.Key("dropped")
-        .Number(static_cast<uint64_t>(TraceBuffer::Global().dropped()));
+    w.Key("dropped").Number(DroppedEventCount(Event::Kind::kSpan));
     w.EndObject();
     w.EndObject();
     return w.str();
@@ -315,22 +193,7 @@ TraceJson()
 bool
 WriteTraceJson(const std::string& path, std::string* error)
 {
-    std::ofstream out(path);
-    if (!out.good()) {
-        if (error) {
-            *error = "cannot open " + path + " for writing";
-        }
-        return false;
-    }
-    out << TraceJson() << "\n";
-    out.flush();
-    if (!out.good()) {
-        if (error) {
-            *error = "write to " + path + " failed";
-        }
-        return false;
-    }
-    return true;
+    return WriteTextFile(path, TraceJson() + "\n", error);
 }
 
 }  // namespace xtalk::telemetry

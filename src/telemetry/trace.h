@@ -1,15 +1,14 @@
 /**
  * @file
- * RAII scoped-timer spans and a bounded in-memory trace buffer
- * exported as Chrome trace_event JSON (load the file in
- * chrome://tracing or https://ui.perfetto.dev).
+ * RAII scoped-timer spans, exported as Chrome trace_event JSON (load
+ * the file in chrome://tracing or https://ui.perfetto.dev).
  *
  * Every completed span records its wall time into the histogram
  * `span.<name>.ms` (metrics side, see telemetry.h). When tracing is
  * additionally enabled — SetTracingEnabled(true) or XTALK_TRACE=1 —
- * the span also appends a complete ("ph":"X") event to the global
- * TraceBuffer. The buffer is bounded; once full, new events are
- * counted as dropped rather than grown without limit.
+ * the span is also recorded as an Event::Kind::kSpan event in the
+ * recorder (recorder.h), bounded at kDefaultEventCapacity spans; once
+ * full, new spans are counted as dropped rather than kept.
  *
  * Disabled cost: a ScopedSpan constructed while telemetry is off reads
  * one atomic flag and does nothing else (no clock call, no
@@ -33,52 +32,15 @@ namespace internal {
 extern std::atomic<bool> g_tracing;
 }  // namespace internal
 
-/** True when spans also append to the trace buffer. */
+/** True when completed spans are also recorded as events. */
 inline bool
 TracingEnabled()
 {
     return internal::g_tracing.load(std::memory_order_relaxed);
 }
 
-/** Turn trace-buffer capture on or off (implies nothing about Enabled). */
+/** Turn span event capture on or off (implies nothing about Enabled). */
 void SetTracingEnabled(bool enabled);
-
-/** One completed span, timestamps relative to the process trace epoch. */
-struct TraceEvent {
-    std::string name;
-    std::string category;
-    /** Trace id of the request this span ran for ("" = none); read
-     *  from the thread-local TraceContext when the span closes. */
-    std::string trace;
-    double ts_us = 0.0;   ///< Start, microseconds since trace epoch.
-    double dur_us = 0.0;  ///< Duration in microseconds.
-    uint32_t tid = 0;     ///< Telemetry thread id (1-based, stable).
-    uint32_t depth = 0;   ///< Span nesting depth at open (0 = top level).
-};
-
-/** Bounded global event sink. Appends are mutex-protected (spans are
- *  coarse-grained; contention is not a concern at pass granularity). */
-class TraceBuffer {
-  public:
-    static TraceBuffer& Global();
-
-    void Append(TraceEvent event);
-    std::vector<TraceEvent> Snapshot() const;
-    /** Events discarded because the buffer was full. */
-    uint64_t dropped() const;
-    size_t capacity() const;
-    /** Shrinking below the current size discards the tail. */
-    void SetCapacity(size_t capacity);
-    void Clear();
-
-  private:
-    TraceBuffer() = default;
-    struct Impl;
-    Impl& impl() const;
-};
-
-/** Telemetry thread id of the calling thread (1-based, stable). */
-uint32_t CurrentTraceTid();
 
 /**
  * Register a human-readable name for the calling thread (e.g. "main",
@@ -88,12 +50,6 @@ uint32_t CurrentTraceTid();
  * the last name wins.
  */
 void SetCurrentThreadName(const std::string& name);
-
-/** Registered (tid, name) pairs, sorted by tid. */
-std::vector<std::pair<uint32_t, std::string>> ThreadNames();
-
-/** Microseconds since the process trace epoch (first telemetry use). */
-double TraceNowUs();
 
 /**
  * RAII span: times the enclosing scope. Usage:
@@ -120,7 +76,6 @@ class ScopedSpan {
     const char* name_;
     const char* category_;
     std::chrono::steady_clock::time_point start_;
-    double start_us_ = 0.0;
     uint32_t depth_ = 0;
     bool active_;
     /** True when this span opened a profiler frame (profiler.h) and
@@ -128,7 +83,7 @@ class ScopedSpan {
     bool profiled_ = false;
 };
 
-/** Serialize the buffer in Chrome trace_event JSON (object form). */
+/** Serialize the recorded spans in Chrome trace_event JSON (object form). */
 std::string TraceJson();
 
 /** Write TraceJson() to @p path. False (with @p error set) on failure. */

@@ -12,10 +12,11 @@
  * workers carry the request that caused them — not the worker that
  * happened to run them.
  *
- * Stamping is centralized: Journal::Emit and ScopedSpan read the
- * thread-local context themselves, so instrumentation sites need no
- * changes to participate. A thread with no context (the default) emits
- * unstamped events, exactly as before this module existed.
+ * Stamping is centralized: the recorder (recorder.h) reads the
+ * thread-local context for every span and journal event, so
+ * instrumentation sites need no changes to participate. A thread with
+ * no context (the default) emits unstamped events, exactly as before
+ * this module existed.
  *
  * Minting: MintTraceContext() draws from /dev/urandom by default, or
  * from a deterministic SplitMix64 stream after SeedTraceIds(seed) —

@@ -1,7 +1,7 @@
 /**
  * @file
  * Tests for the flight-recorder journal, the run ledger, and the
- * OpenMetrics exporter: typed event emission, per-shard total ordering
+ * OpenMetrics exporter: typed event emission, per-thread total ordering
  * and losslessness under concurrency, bounded-capacity drop counting,
  * JSONL validity line by line, ledger record round trips, and
  * OpenMetrics text-format conformance.
@@ -22,6 +22,7 @@
 #include "telemetry/json.h"
 #include "telemetry/ledger.h"
 #include "telemetry/openmetrics.h"
+#include "telemetry/recorder.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace_context.h"
 
@@ -35,18 +36,16 @@ class JournalTest : public ::testing::Test {
     SetUp() override
     {
         SetJournalEnabled(true);
-        Journal::Global().SetShardCapacity(
-            Journal::kDefaultShardCapacity);
-        Journal::Global().Clear();
+        SetEventCapacity(Event::Kind::kJournal, kDefaultEventCapacity);
+        ClearEvents();
     }
 
     void
     TearDown() override
     {
         SetJournalEnabled(false);
-        Journal::Global().SetShardCapacity(
-            Journal::kDefaultShardCapacity);
-        Journal::Global().Clear();
+        SetEventCapacity(Event::Kind::kJournal, kDefaultEventCapacity);
+        ClearEvents();
     }
 };
 
@@ -69,10 +68,10 @@ TEST_F(JournalTest, EmitRecordsTypedFields)
                                {"big", uint64_t{1} << 63},
                                {"ratio", 0.25},
                                {"ok", true}});
-    const std::vector<JournalRecord> events = Journal::Global().Snapshot();
+    const std::vector<Event> events = RecordedEvents(Event::Kind::kJournal);
     ASSERT_EQ(events.size(), 1u);
-    const JournalRecord& e = events[0];
-    EXPECT_EQ(e.type, "test.event");
+    const Event& e = events[0];
+    EXPECT_EQ(e.name, "test.event");
     EXPECT_EQ(e.seq, 1u);
     ASSERT_EQ(e.fields.size(), 5u);
     EXPECT_EQ(e.fields[0].second.kind(), JournalValue::Kind::kString);
@@ -83,18 +82,6 @@ TEST_F(JournalTest, EmitRecordsTypedFields)
     EXPECT_EQ(e.fields[2].second.as_uint(), uint64_t{1} << 63);
     EXPECT_EQ(e.fields[3].second.kind(), JournalValue::Kind::kDouble);
     EXPECT_EQ(e.fields[4].second.kind(), JournalValue::Kind::kBool);
-}
-
-/** Find a field's string value on a record; "" when absent. */
-std::string
-FieldString(const JournalRecord& record, const std::string& name)
-{
-    for (const auto& [key, value] : record.fields) {
-        if (key == name && value.kind() == JournalValue::Kind::kString) {
-            return value.str();
-        }
-    }
-    return "";
 }
 
 TEST_F(JournalTest, EmitStampsActiveTraceContext)
@@ -108,15 +95,15 @@ TEST_F(JournalTest, EmitStampsActiveTraceContext)
         JournalEmit("test.traced", {{"n", 1}});
     }
     JournalEmit("test.untraced", {{"n", 2}});
-    const std::vector<JournalRecord> events =
-        Journal::Global().Snapshot();
+    const std::vector<Event> events =
+        RecordedEvents(Event::Kind::kJournal);
     ASSERT_EQ(events.size(), 2u);
-    EXPECT_EQ(FieldString(events[0], "trace"),
+    EXPECT_EQ(events[0].context.trace_id(),
               "0123456789abcdef0123456789abcdef");
-    EXPECT_EQ(FieldString(events[0], "span"), "00000000000000aa");
+    EXPECT_EQ(events[0].context.span_id(), "00000000000000aa");
     // Outside the scope the stamp must vanish with the context.
-    EXPECT_EQ(FieldString(events[1], "trace"), "");
-    EXPECT_EQ(FieldString(events[1], "span"), "");
+    EXPECT_EQ(events[1].context.trace_id(), "");
+    EXPECT_EQ(events[1].context.span_id(), "");
 }
 
 TEST_F(JournalTest, ThreadPoolPropagatesTraceContextIntoWorkers)
@@ -137,13 +124,13 @@ TEST_F(JournalTest, ThreadPoolPropagatesTraceContextIntoWorkers)
             future.get();
         }
     }
-    const std::vector<JournalRecord> events =
-        Journal::Global().Snapshot();
+    const std::vector<Event> events =
+        RecordedEvents(Event::Kind::kJournal);
     ASSERT_EQ(events.size(), 8u);
-    for (const JournalRecord& event : events) {
+    for (const Event& event : events) {
         // Every pooled job ran under the submitter's request context,
         // not the worker thread's (empty) default.
-        EXPECT_EQ(FieldString(event, "trace"),
+        EXPECT_EQ(event.context.trace_id(),
                   "feedfacefeedfacefeedfacefeedface");
     }
 }
@@ -181,20 +168,19 @@ TEST_F(JournalTest, DisabledJournalRecordsNothing)
 {
     SetJournalEnabled(false);
     JournalEmit("test.off", {{"n", 1}});
-    EXPECT_EQ(Journal::Global().size(), 0u);
+    EXPECT_EQ(RetainedEventCount(Event::Kind::kJournal), 0u);
 }
 
 TEST_F(JournalTest, BoundedCapacityCountsDrops)
 {
-    Journal::Global().SetShardCapacity(4);
-    // Single-threaded: every event lands in the same shard.
+    SetEventCapacity(Event::Kind::kJournal, 4);
     for (int i = 0; i < 10; ++i) {
         JournalEmit("test.cap", {{"i", i}});
     }
-    EXPECT_EQ(Journal::Global().size(), 4u);
-    EXPECT_EQ(Journal::Global().dropped(), 6u);
+    EXPECT_EQ(RetainedEventCount(Event::Kind::kJournal), 4u);
+    EXPECT_EQ(DroppedEventCount(Event::Kind::kJournal), 6u);
     // The retained events are the FIRST four (bounded log, not a ring).
-    const std::vector<JournalRecord> events = Journal::Global().Snapshot();
+    const std::vector<Event> events = RecordedEvents(Event::Kind::kJournal);
     ASSERT_EQ(events.size(), 4u);
     for (size_t i = 0; i < events.size(); ++i) {
         EXPECT_EQ(events[i].fields[0].second.as_int(),
@@ -218,33 +204,32 @@ TEST_F(JournalTest, EightThreadsAreLosslessAndTotallyOrderedPerShard)
     for (std::thread& thread : threads) {
         thread.join();
     }
-    // Lossless under the default capacity even if every thread hashed
-    // to one shard (8000 < 8192).
-    EXPECT_EQ(Journal::Global().size(),
+    // Lossless under the default capacity (8000 < 64Ki).
+    EXPECT_EQ(RetainedEventCount(Event::Kind::kJournal),
               uint64_t{kThreads} * kPerThread);
-    EXPECT_EQ(Journal::Global().dropped(), 0u);
+    EXPECT_EQ(DroppedEventCount(Event::Kind::kJournal), 0u);
 
-    // Total order per shard: in snapshot order (a stable sort by
-    // timestamp), each shard's seq must appear strictly ascending and
-    // its timestamps non-decreasing.
-    const std::vector<JournalRecord> events = Journal::Global().Snapshot();
+    // Total order per shard (one per emitting thread): in snapshot
+    // order (a stable sort by timestamp), each shard's seq must appear
+    // strictly ascending and its timestamps non-decreasing.
+    const std::vector<Event> events = RecordedEvents(Event::Kind::kJournal);
     std::map<uint32_t, uint64_t> last_seq;
     std::map<uint32_t, double> last_ts;
-    for (const JournalRecord& e : events) {
-        if (last_seq.count(e.shard)) {
-            EXPECT_EQ(e.seq, last_seq[e.shard] + 1)
-                << "shard " << e.shard << " out of order";
-            EXPECT_GE(e.ts_us, last_ts[e.shard]);
+    for (const Event& e : events) {
+        if (last_seq.count(e.tid)) {
+            EXPECT_EQ(e.seq, last_seq[e.tid] + 1)
+                << "shard " << e.tid << " out of order";
+            EXPECT_GE(e.ts_us, last_ts[e.tid]);
         } else {
-            EXPECT_EQ(e.seq, 1u) << "shard " << e.shard;
+            EXPECT_EQ(e.seq, 1u) << "shard " << e.tid;
         }
-        last_seq[e.shard] = e.seq;
-        last_ts[e.shard] = e.ts_us;
+        last_seq[e.tid] = e.seq;
+        last_ts[e.tid] = e.ts_us;
     }
     // Each emitting thread lives in exactly one shard, so its events
     // must also be in program order within the snapshot.
     std::map<int64_t, int64_t> last_i;
-    for (const JournalRecord& e : events) {
+    for (const Event& e : events) {
         const int64_t t = e.fields[0].second.as_int();
         const int64_t i = e.fields[1].second.as_int();
         if (last_i.count(t)) {
@@ -259,7 +244,7 @@ TEST_F(JournalTest, ToJsonlEmitsValidJsonLineByLine)
     JournalEmit("test.json", {{"text", "needs \"escaping\"\n"},
                               {"value", 1.5}});
     JournalEmit("test.json", {{"inf", 1e308 * 10}});  // Non-finite.
-    const std::string jsonl = Journal::Global().ToJsonl();
+    const std::string jsonl = JournalJsonl();
     const std::vector<std::string> lines = SplitLines(jsonl);
     ASSERT_EQ(lines.size(), 3u);  // Header + 2 events.
     for (const std::string& line : lines) {
@@ -277,7 +262,7 @@ TEST_F(JournalTest, WriteJsonlRoundTrips)
     JournalEmit("test.file", {{"n", 42}});
     const std::string path = ::testing::TempDir() + "journal_rt.jsonl";
     std::string error;
-    ASSERT_TRUE(Journal::Global().WriteJsonl(path, &error)) << error;
+    ASSERT_TRUE(WriteTextFile(path, JournalJsonl(), &error)) << error;
     std::ifstream in(path);
     std::string line;
     ASSERT_TRUE(std::getline(in, line));
@@ -294,7 +279,7 @@ TEST_F(JournalTest, RunIdIsStableAndOverridable)
     EXPECT_EQ(RunId(), original);
     SetRunId("test-run");
     EXPECT_EQ(RunId(), "test-run");
-    EXPECT_NE(Journal::Global().ToJsonl().find("\"run\":\"test-run\""),
+    EXPECT_NE(JournalJsonl().find("\"run\":\"test-run\""),
               std::string::npos);
     SetRunId(original);
 }

@@ -20,8 +20,10 @@
 #include "device/ibmq_devices.h"
 #include "runtime/executor.h"
 #include "scheduler/scheduler.h"
+#include "telemetry/journal.h"
 #include "telemetry/json.h"
 #include "telemetry/profiler.h"
+#include "telemetry/recorder.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
 
@@ -240,6 +242,34 @@ TEST_F(ProfilerTest, ResetClearsAccumulatedFrames)
     ResetProfile();
     const ProfileNode root = ProfileSnapshot();
     EXPECT_TRUE(FlattenCalls(root).count("process;prof.stale") == 0u);
+}
+
+TEST_F(ProfilerTest, CostTreeStaysExactWhenEventStoreDrops)
+{
+    SetTracingEnabled(true);
+    SetJournalEnabled(true);
+    ClearEvents();
+    SetEventCapacity(Event::Kind::kSpan, 5);
+    SetEventCapacity(Event::Kind::kJournal, 3);
+    constexpr uint64_t kSpans = 40;
+    for (uint64_t i = 0; i < kSpans; ++i) {
+        ScopedSpan span("prof.capped");
+        JournalEmit("prof.capped", {{"i", i}});
+    }
+    // The tree is folded at span close, not rebuilt from kept events.
+    EXPECT_EQ(FlattenCalls(ProfileSnapshot()).at("process;prof.capped"),
+              kSpans);
+    for (const auto& [kind, kept] :
+         {std::pair{Event::Kind::kSpan, 5u},
+          std::pair{Event::Kind::kJournal, 3u}}) {
+        EXPECT_EQ(RecordedEvents(kind).size(), kept);
+        EXPECT_EQ(RetainedEventCount(kind), kept);
+        EXPECT_EQ(DroppedEventCount(kind), kSpans - kept);
+    }
+    SetEventCapacity(Event::Kind::kSpan, kDefaultEventCapacity);
+    SetEventCapacity(Event::Kind::kJournal, kDefaultEventCapacity);
+    SetJournalEnabled(false);
+    ClearEvents();
 }
 
 TEST_F(ProfilerTest, EnablingProfilerImpliesTelemetry)

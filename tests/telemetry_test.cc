@@ -2,27 +2,34 @@
  * @file
  * Tests for the telemetry subsystem: counters/gauges/histograms in the
  * global registry (including under thread contention), scoped spans and
- * the trace buffer, JSON writer/validator, and the disabled-mode
- * zero-recording guarantee.
+ * the recorder's span events, JSON writer/validator, the disabled-mode
+ * zero-recording guarantee, and a clean process exit while pool
+ * workers are still closing spans.
  */
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "runtime/thread_pool.h"
+#include "telemetry/journal.h"
 #include "telemetry/json.h"
+#include "telemetry/recorder.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
+#include "telemetry/trace_context.h"
 
 namespace xtalk::telemetry {
 namespace {
 
-/** Every test starts from a clean, enabled registry and empty buffer. */
+/** Every test starts from a clean, enabled registry and no events. */
 class TelemetryTest : public ::testing::Test {
   protected:
     void
@@ -31,7 +38,7 @@ class TelemetryTest : public ::testing::Test {
         SetEnabled(true);
         SetTracingEnabled(false);
         Registry::Global().Reset();
-        TraceBuffer::Global().Clear();
+        ClearEvents();
     }
 
     void
@@ -39,8 +46,9 @@ class TelemetryTest : public ::testing::Test {
     {
         SetEnabled(false);
         SetTracingEnabled(false);
+        SetJournalEnabled(false);
         Registry::Global().Reset();
-        TraceBuffer::Global().Clear();
+        ClearEvents();
     }
 };
 
@@ -168,7 +176,7 @@ TEST_F(TelemetryTest, DisabledModeRecordsNothing)
     // The span histogram must not even exist in the snapshot.
     const std::string json = StatsJson();
     EXPECT_EQ(json.find("span.test.disabled.ms"), std::string::npos);
-    EXPECT_TRUE(TraceBuffer::Global().Snapshot().empty());
+    EXPECT_TRUE(RecordedEvents(Event::Kind::kSpan).empty());
 }
 
 TEST_F(TelemetryTest, ScopedSpanRecordsDurationHistogram)
@@ -191,7 +199,7 @@ TEST_F(TelemetryTest, NestedSpansLandInTraceBufferWithDepth)
             ScopedSpan inner("test.inner");
         }
     }
-    const std::vector<TraceEvent> events = TraceBuffer::Global().Snapshot();
+    const std::vector<Event> events = RecordedEvents(Event::Kind::kSpan);
     ASSERT_EQ(events.size(), 2u);
     // Inner closes first, so it is appended first.
     EXPECT_EQ(events[0].name, "test.inner");
@@ -208,15 +216,59 @@ TEST_F(TelemetryTest, NestedSpansLandInTraceBufferWithDepth)
 TEST_F(TelemetryTest, TraceBufferIsBoundedAndCountsDrops)
 {
     SetTracingEnabled(true);
-    TraceBuffer::Global().SetCapacity(4);
+    SetEventCapacity(Event::Kind::kSpan, 4);
     for (int i = 0; i < 10; ++i) {
         ScopedSpan span("test.bounded");
     }
-    EXPECT_EQ(TraceBuffer::Global().Snapshot().size(), 4u);
-    EXPECT_EQ(TraceBuffer::Global().dropped(), 6u);
-    TraceBuffer::Global().SetCapacity(1u << 16);
-    TraceBuffer::Global().Clear();
-    EXPECT_EQ(TraceBuffer::Global().dropped(), 0u);
+    EXPECT_EQ(RecordedEvents(Event::Kind::kSpan).size(), 4u);
+    EXPECT_EQ(DroppedEventCount(Event::Kind::kSpan), 6u);
+    SetEventCapacity(Event::Kind::kSpan, kDefaultEventCapacity);
+    ClearEvents();
+    EXPECT_EQ(DroppedEventCount(Event::Kind::kSpan), 0u);
+}
+
+TEST_F(TelemetryTest, SpanAndJournalEventOnOneWorkerShareTidAndTrace)
+{
+    SetTracingEnabled(true);
+    SetJournalEnabled(true);
+    TraceContext context;
+    ASSERT_TRUE(
+        ParseTraceId("0badc0de0badc0de0badc0de0badc0de", &context));
+    context.span = 0x77;
+    runtime::ThreadPool pool(1);
+    {
+        ScopedTraceContext scope(context);
+        pool.Submit([] {
+                ScopedSpan span("test.worker.span");
+                JournalEmit("test.worker.event", {{"n", 1}});
+            })
+            .get();
+    }
+    pool.Shutdown();  // The worker's runtime.pool.job span closes too.
+
+    JsonValue trace;
+    ASSERT_TRUE(ParseJsonValue(TraceJson(), &trace));
+    const JsonValue* span = nullptr;
+    for (const JsonValue& e : trace.Find("traceEvents")->items()) {
+        if (e.GetString("name") == "test.worker.span") {
+            span = &e;
+        }
+    }
+    ASSERT_NE(span, nullptr);
+
+    std::istringstream lines(JournalJsonl());
+    std::string line;
+    std::getline(lines, line);  // Header.
+    ASSERT_TRUE(std::getline(lines, line));
+    JsonValue event;
+    ASSERT_TRUE(ParseJsonValue(line, &event));
+    EXPECT_EQ(event.GetString("type"), "test.worker.event");
+
+    // One stamping path: same thread id, same request, in both exports.
+    EXPECT_EQ(span->GetNumber("tid"), event.GetNumber("tid"));
+    EXPECT_EQ(span->Find("args")->GetString("trace"), context.trace_id());
+    EXPECT_EQ(event.Find("fields")->GetString("trace"), context.trace_id());
+    EXPECT_EQ(event.GetNumber("shard"), event.GetNumber("tid"));
 }
 
 TEST_F(TelemetryTest, StatsJsonIsValidAndCarriesMetrics)
@@ -268,6 +320,29 @@ TEST_F(TelemetryTest, WriteStatsJsonReportsIoFailure)
     std::string error;
     EXPECT_FALSE(WriteStatsJson("/nonexistent-dir/x/y.json", &error));
     EXPECT_FALSE(error.empty());
+}
+
+TEST(TelemetryExit, PoolWorkersClosingSpansAtExit)
+{
+    // The child returns from main while shared-pool workers may still be
+    // closing spans; telemetry state must outlive every other static.
+    for (int launch = 0; launch < 200; ++launch) {
+        FILE* child = ::popen(XTALK_EXIT_CHILD_BIN " 2>&1", "r");
+        ASSERT_NE(child, nullptr);
+        std::string output;
+        char buffer[256];
+        while (std::fgets(buffer, sizeof(buffer), child) != nullptr) {
+            output += buffer;
+        }
+        const int status = ::pclose(child);
+        ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0)
+            << "launch " << launch << ": status " << status << "\n"
+            << output;
+        for (const char* marker : {"tcache", "terminate", "histogram bounds"}) {
+            ASSERT_EQ(output.find(marker), std::string::npos)
+                << "launch " << launch << ":\n" << output;
+        }
+    }
 }
 
 TEST(JsonWriter, HandlesNestingEscapingAndNonFinite)
@@ -339,7 +414,8 @@ TEST_F(TelemetryTest, QuantileInterpolatesWithinSingleBucket)
     EXPECT_GT(h.Quantile(0.5), 10.0);
     EXPECT_LE(h.Quantile(0.5), 20.0);
     EXPECT_LE(h.Quantile(0.5), h.Quantile(0.95));
-    EXPECT_DOUBLE_EQ(h.Quantile(1.0), 20.0);
+    // Interpolation toward the bucket bound stops at the recorded max.
+    EXPECT_DOUBLE_EQ(h.Quantile(1.0), 15.0);
     // Quantile(q) is exactly Percentile(100q).
     EXPECT_DOUBLE_EQ(h.Quantile(0.95), h.Percentile(95));
 }
@@ -355,6 +431,30 @@ TEST_F(TelemetryTest, QuantileOfOverflowBucketReportsRecordedMax)
     EXPECT_DOUBLE_EQ(h.Quantile(0.99), 1000.0);
     EXPECT_DOUBLE_EQ(h.Quantile(0.67), 1000.0);
     EXPECT_LE(h.Quantile(0.2), 1.0);
+}
+
+TEST_F(TelemetryTest, PercentilesNeverExceedTheSlowestSample)
+{
+    // The daemon shape that reported p99 = 8460 ms when the slowest
+    // request took 4798 ms: a tail of samples inside the (3e3, 10e3]
+    // bucket, interpolated toward its upper bound.
+    Histogram& h = GetHistogram("test.tail.ms");
+    for (int i = 0; i < 20; ++i) {
+        h.Record(30.0 + i);
+    }
+    h.Record(3500.0);
+    h.Record(4798.0);
+    for (const double p : {50.0, 90.0, 95.0, 99.0, 100.0}) {
+        EXPECT_LE(h.Percentile(p), 4798.0) << "p" << p;
+        EXPECT_GE(h.Percentile(p), 30.0) << "p" << p;
+    }
+    EXPECT_DOUBLE_EQ(h.Percentile(100.0), 4798.0);
+    JsonValue stats;
+    ASSERT_TRUE(ParseJsonValue(StatsJson(), &stats));
+    const JsonValue* tail =
+        stats.Find("histograms")->Find("test.tail.ms");
+    ASSERT_NE(tail, nullptr);
+    EXPECT_LE(tail->GetNumber("p99"), tail->GetNumber("max"));
 }
 
 TEST_F(TelemetryTest, QuantileMergedAcrossThreadsMatchesSerialRecording)

@@ -277,8 +277,8 @@ WriteTelemetryOutputs(const Options& options)
         }
     }
     if (!options.journal_path.empty()) {
-        if (telemetry::Journal::Global().WriteJsonl(options.journal_path,
-                                                    &error)) {
+        if (telemetry::WriteTextFile(options.journal_path,
+                                     telemetry::JournalJsonl(), &error)) {
             Inform("wrote event journal to " + options.journal_path);
         } else {
             std::cerr << "error: " << error << "\n";
