@@ -314,9 +314,9 @@ XtalkScheduler::Schedule(const Circuit& circuit,
 }
 
 /**
- * One cold (from-scratch) solver round: the pre-warm-start behaviour,
- * and the only encoding of the powerset formulation, whose constraints
- * are not monotone under refinement. On sat fills @p starts.
+ * One from-scratch solver round of the paper's powerset encoding, whose
+ * constraints are not monotone under refinement. On sat fills
+ * @p starts.
  */
 namespace {
 
@@ -338,7 +338,7 @@ ColdSolveRound(const Device& device,
         can_olp[j].push_back(i);
     }
     // Bound the powerset encoding: keep the worst offenders per gate.
-    for (GateId i = 0; options.use_powerset_encoding && i < n; ++i) {
+    for (GateId i = 0; i < n; ++i) {
         auto& cands = can_olp[i];
         if (static_cast<int>(cands.size()) > options.max_overlap_candidates) {
             std::sort(cands.begin(), cands.end(), [&](GateId a, GateId b) {
@@ -417,14 +417,9 @@ ColdSolveRound(const Device& device,
     }
 
     // Gate-error terms: g.eps = max conditional error over overlapping
-    // aggressors, independent rate otherwise (constraints 7-8). Two
-    // equivalent encodings:
-    //  - the paper's powerset of CanOlp(g), exact by construction but
-    //    exponential in |CanOlp| (capped);
-    //  - lower bounds "logeps >= log E(g|j) when o_gj" plus
-    //    "logeps >= log E(g)": since the objective minimizes
-    //    sum(logeps), the optimum pins logeps to exactly the max of the
-    //    active bounds. Linear in |CanOlp|; the default.
+    // aggressors, independent rate otherwise (constraints 7-8), over the
+    // powerset of CanOlp(g): exact by construction but exponential in
+    // |CanOlp| (capped).
     z3::expr gate_error_sum = ctx.real_val(0);
     for (GateId i = 0; i < n; ++i) {
         const auto& cands = can_olp[i];
@@ -434,35 +429,22 @@ ColdSolveRound(const Device& device,
         ++*gates_with_candidates;
         z3::expr logeps =
             ctx.real_const(("logeps" + std::to_string(i)).c_str());
-        const double log_independent =
-            LogOf(independent_error(facts.edge_of[i]));
-        if (options.use_powerset_encoding) {
-            const size_t subsets = size_t{1} << cands.size();
-            for (size_t mask = 0; mask < subsets; ++mask) {
-                z3::expr cond = ctx.bool_val(true);
-                double worst = independent_error(facts.edge_of[i]);
-                for (size_t b = 0; b < cands.size(); ++b) {
-                    const GateId j = cands[b];
-                    if (mask & (size_t{1} << b)) {
-                        cond = cond && overlap_var(i, j);
-                        worst = std::max(
-                            worst, characterization.ConditionalError(
-                                       facts.edge_of[i], facts.edge_of[j]));
-                    } else {
-                        cond = cond && !overlap_var(i, j);
-                    }
+        const size_t subsets = size_t{1} << cands.size();
+        for (size_t mask = 0; mask < subsets; ++mask) {
+            z3::expr cond = ctx.bool_val(true);
+            double worst = independent_error(facts.edge_of[i]);
+            for (size_t b = 0; b < cands.size(); ++b) {
+                const GateId j = cands[b];
+                if (mask & (size_t{1} << b)) {
+                    cond = cond && overlap_var(i, j);
+                    worst = std::max(
+                        worst, characterization.ConditionalError(
+                                   facts.edge_of[i], facts.edge_of[j]));
+                } else {
+                    cond = cond && !overlap_var(i, j);
                 }
-                add(z3::implies(cond,
-                                logeps == RealOf(ctx, LogOf(worst))));
             }
-        } else {
-            add(logeps >= RealOf(ctx, log_independent));
-            for (GateId j : cands) {
-                const double cond_err = characterization.ConditionalError(
-                    facts.edge_of[i], facts.edge_of[j]);
-                add(z3::implies(overlap_var(i, j),
-                                logeps >= RealOf(ctx, LogOf(cond_err))));
-            }
+            add(z3::implies(cond, logeps == RealOf(ctx, LogOf(worst))));
         }
         gate_error_sum = gate_error_sum + logeps;
     }
@@ -588,7 +570,7 @@ XtalkScheduler::ScheduleForOmegas(const Circuit& circuit,
     }
 
     stats_ = {};
-    const bool warm = options_.warm_start && !options_.use_powerset_encoding;
+    const bool warm = !options_.use_powerset_encoding;
     std::unique_ptr<WarmSession> session;
     if (warm) {
         session = std::make_unique<WarmSession>(

@@ -100,16 +100,6 @@ struct XtalkSchedulerOptions {
      * many extra rounds.
      */
     int max_refinement_rounds = 4;
-    /**
-     * Keep one incremental Z3 context alive across refinement rounds
-     * and ω candidates (assertions only accumulate in the default
-     * lower-bound encoding, so rounds re-check instead of rebuilding;
-     * ω candidates are solved under push/pop objective scopes). false
-     * rebuilds the solver from scratch every round — the pre-portfolio
-     * behaviour, kept for benchmarking the warm-start win. The powerset
-     * encoding is not monotone under refinement and always rebuilds.
-     */
-    bool warm_start = true;
 };
 
 /** Solve diagnostics from the last Schedule() call. */
@@ -119,7 +109,8 @@ struct XtalkSchedulerStats {
     int gates_with_candidates = 0;
     int refinement_rounds = 0;
     bool optimal = false;
-    /** Z3 contexts constructed (warm sweep: 1; cold: one per round). */
+    /** Z3 contexts constructed (lower-bound encoding: 1; powerset: one
+     *  per round). */
     int solver_builds = 0;
     /** ω candidates that produced a model (ScheduleForOmegas only). */
     int omegas_solved = 0;
@@ -153,12 +144,13 @@ class XtalkScheduler : public Scheduler {
 
     /**
      * Solve the same circuit for several ω candidates in one pass. With
-     * warm_start (default, lower-bound encoding) the Z3 context, the
+     * the default lower-bound encoding one incremental Z3 context, the
      * dependency/readout constraints, and every pair constraint learned
      * by lazy refinement are shared across candidates: each ω is solved
      * under an `optimize` push/pop scope that swaps only the objective,
      * so later candidates start from everything earlier ones learned
-     * instead of rebuilding from scratch.
+     * instead of rebuilding from scratch. The powerset encoding is not
+     * monotone under refinement and rebuilds its solver every round.
      *
      * total_budget_ms spans the whole sweep. When the budget expires or
      * @p cancel fires mid-sweep, the ω candidates already solved are

@@ -6,6 +6,7 @@
 
 #include "common/error.h"
 #include "sim/density_matrix.h"
+#include "sim/noise_plan.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
 
@@ -49,10 +50,6 @@ ReplayScheduleDensity(const Device& device, const ScheduledCircuit& schedule,
     XTALK_REQUIRE(width <= 10, "exact density replay supports at most 10 "
                                "qubits; schedule touches "
                                    << width);
-
-    // The crosstalk-aware per-gate error rates come from the trajectory
-    // engine itself so both backends model the identical channel strength.
-    const NoisySimulator reference(device, options);
 
     std::vector<double> t1_ns(width), tphi_ns(width), clock(width);
     for (int local = 0; local < width; ++local) {
@@ -112,7 +109,10 @@ ReplayScheduleDensity(const Device& device, const ScheduledCircuit& schedule,
         }
         rho.ApplyGate(local_gate);
         if (options.gate_noise) {
-            const double error = reference.EffectiveGateError(schedule, i);
+            // The trajectory engines' own rate, so both arms model the
+            // identical channel strength.
+            const double error = CrosstalkAwareGateError(
+                device, schedule, i, options.crosstalk);
             if (error > 0.0) {
                 rho.ApplyDepolarizing(local_gate.qubits, error);
             }

@@ -1,69 +1,12 @@
 #include "sim/noisy_simulator.h"
 
-#include <algorithm>
-#include <cmath>
-#include <map>
-
 #include "common/error.h"
-#include "sim/gate_matrices.h"
+#include "sim/noise_plan.h"
 #include "sim/statevector.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
 
 namespace xtalk {
-
-namespace {
-
-/** Map device qubits used by the schedule to a compact local register. */
-struct QubitCompaction {
-    std::map<QubitId, int> local_of_device;
-    std::vector<QubitId> device_of_local;
-
-    explicit
-    QubitCompaction(const ScheduledCircuit& schedule)
-    {
-        for (const TimedGate& tg : schedule.gates()) {
-            for (QubitId q : tg.gate.qubits) {
-                if (!local_of_device.count(q)) {
-                    const int local =
-                        static_cast<int>(device_of_local.size());
-                    local_of_device[q] = local;
-                    device_of_local.push_back(q);
-                }
-            }
-        }
-    }
-
-    int
-    Local(QubitId device_qubit) const
-    {
-        return local_of_device.at(device_qubit);
-    }
-};
-
-/** Remap a gate's qubits into the compact register. */
-Gate
-LocalizeGate(const Gate& gate, const QubitCompaction& compact)
-{
-    Gate local = gate;
-    for (QubitId& q : local.qubits) {
-        q = compact.Local(q);
-    }
-    return local;
-}
-
-/** Dephasing rate: 1/T_phi = 1/T2 - 1/(2 T1); 0 when T2-limited by T1. */
-double
-PureDephasingTimeNs(double t1_ns, double t2_ns)
-{
-    const double inv = 1.0 / t2_ns - 1.0 / (2.0 * t1_ns);
-    if (inv <= 0.0) {
-        return 0.0;  // No pure dephasing.
-    }
-    return 1.0 / inv;
-}
-
-}  // namespace
 
 NoisySimulator::NoisySimulator(const Device& device, NoisySimOptions options)
     : device_(&device), options_(options), rng_(options.seed)
@@ -74,34 +17,8 @@ double
 NoisySimulator::EffectiveGateError(const ScheduledCircuit& schedule,
                                    int index) const
 {
-    const TimedGate& tg = schedule.gates().at(index);
-    const Gate& gate = tg.gate;
-    if (gate.IsBarrier() || gate.IsMeasure()) {
-        return 0.0;
-    }
-    if (!gate.IsTwoQubitUnitary()) {
-        return device_->GateError(gate);
-    }
-    const EdgeId victim =
-        device_->topology().FindEdge(gate.qubits[0], gate.qubits[1]);
-    XTALK_REQUIRE(victim >= 0, "two-qubit gate on uncoupled qubits: "
-                                   << xtalk::ToString(gate));
-    double err = device_->CxError(victim);
-    if (!options_.crosstalk) {
-        return err;
-    }
-    // Paper's model: the error under overlap is the max conditional rate
-    // over the concurrently executing aggressors (constraint 7).
-    for (int j : schedule.OverlappingTwoQubitGates(index)) {
-        const Gate& other = schedule.gates()[j].gate;
-        const EdgeId aggressor =
-            device_->topology().FindEdge(other.qubits[0], other.qubits[1]);
-        if (aggressor >= 0 && aggressor != victim) {
-            err = std::max(err,
-                           device_->ConditionalCxError(victim, aggressor));
-        }
-    }
-    return err;
+    return CrosstalkAwareGateError(*device_, schedule, index,
+                                   options_.crosstalk);
 }
 
 Counts
@@ -121,172 +38,38 @@ NoisySimulator::Run(const ScheduledCircuit& schedule, const RunSpec& spec)
         telemetry::GetCounter("sim.shots")
             .Add(static_cast<uint64_t>(shots));
     }
-    const QubitCompaction compact(schedule);
-    const int width = static_cast<int>(compact.device_of_local.size());
-    XTALK_REQUIRE(width > 0, "schedule touches no qubits");
-    XTALK_REQUIRE(width <= 22, "schedule touches " << width
-                                                   << " qubits; max 22");
-
-    // Precompute per-gate data shared across shots.
-    struct GatePlan {
-        Gate local_gate;
-        bool is_measure = false;
-        bool is_barrier = false;
-        double start_ns = 0.0;
-        double end_ns = 0.0;
-        double error = 0.0;
-    };
-    std::vector<GatePlan> plan;
-    plan.reserve(schedule.size());
-    for (int i = 0; i < schedule.size(); ++i) {
-        const TimedGate& tg = schedule.gates()[i];
-        GatePlan p;
-        p.local_gate = LocalizeGate(tg.gate, compact);
-        p.is_measure = tg.gate.IsMeasure();
-        p.is_barrier = tg.gate.IsBarrier();
-        p.start_ns = tg.start_ns;
-        p.end_ns = tg.end_ns();
-        p.error = EffectiveGateError(schedule, i);
-        plan.push_back(std::move(p));
-    }
+    const NoisePlan plan = BuildNoisePlan(*device_, schedule, options_);
+    XTALK_REQUIRE(plan.width() <= 22, "schedule touches " << plan.width()
+                                                          << " qubits; max 22");
     if (telemetry::Enabled()) {
-        uint64_t unitaries = 0, measures = 0;
-        for (const GatePlan& p : plan) {
-            if (p.is_measure) {
-                ++measures;
-            } else if (!p.is_barrier) {
-                ++unitaries;
-            }
-        }
         telemetry::GetCounter("sim.statevector.gate_applications")
-            .Add(unitaries * static_cast<uint64_t>(shots));
+            .Add((plan.ops.size() - plan.num_measures) *
+                 static_cast<uint64_t>(shots));
         telemetry::GetCounter("sim.statevector.measurements")
-            .Add(measures * static_cast<uint64_t>(shots));
+            .Add(static_cast<uint64_t>(plan.num_measures) *
+                 static_cast<uint64_t>(shots));
     }
-
-    // Per-local-qubit decoherence parameters and lifetime starts.
-    std::vector<double> t1_ns(width), tphi_ns(width), first_start(width);
-    for (int local = 0; local < width; ++local) {
-        const QubitId q = compact.device_of_local[local];
-        t1_ns[local] = device_->T1us(q) * 1000.0;
-        tphi_ns[local] =
-            PureDephasingTimeNs(t1_ns[local], device_->T2us(q) * 1000.0);
-        const double fs = schedule.FirstStartOn(q);
-        first_start[local] = fs < 0.0 ? 0.0 : fs;
-    }
-
-    auto advance_decoherence = [&](StateVector& sv, int local, double from,
-                                   double to) {
-        if (!options_.decoherence || to <= from) {
-            return;
-        }
-        const double dt = to - from;
-        const double gamma = 1.0 - std::exp(-dt / t1_ns[local]);
-        sv.AmplitudeDamp(local, gamma, rng_);
-        if (tphi_ns[local] > 0.0) {
-            const double pz = 0.5 * (1.0 - std::exp(-dt / tphi_ns[local]));
-            sv.Dephase(local, pz, rng_);
-        }
-    };
-
-    auto apply_pauli_noise = [&](StateVector& sv,
-                                 const std::vector<QubitId>& qubits) {
-        // Uniform non-identity Pauli on the gate's qubits.
-        const int options_count =
-            qubits.size() == 1 ? 3 : 15;  // 4^k - 1 non-identity strings.
-        int pick = static_cast<int>(rng_.UniformInt(options_count)) + 1;
-        for (QubitId q : qubits) {
-            const int p = pick & 3;
-            pick >>= 2;
-            switch (p) {
-              case 1:
-                sv.Apply1Q(q, MatX());
-                break;
-              case 2:
-                sv.Apply1Q(q, MatY());
-                break;
-              case 3:
-                sv.Apply1Q(q, MatZ());
-                break;
-              default:
-                break;
-            }
-        }
-    };
-
-    Counts counts(std::max(1, schedule.ToCircuit().num_clbits()));
-    std::vector<double> clock(width);
-    StateVector sv(width);
-    for (int shot = 0; shot < shots; ++shot) {
-        sv.Reset();
-        for (int local = 0; local < width; ++local) {
-            clock[local] = first_start[local];
-        }
-        uint64_t bits = 0;
-        for (const GatePlan& p : plan) {
-            if (p.is_barrier) {
-                continue;
-            }
-            // Idle decoherence up to the gate start on each operand.
-            for (QubitId lq : p.local_gate.qubits) {
-                advance_decoherence(sv, lq, clock[lq], p.start_ns);
-            }
-            if (p.is_measure) {
-                // Decay during the readout window, then project, then
-                // classical assignment error.
-                const QubitId lq = p.local_gate.qubits[0];
-                advance_decoherence(sv, lq, p.start_ns, p.end_ns);
-                bool outcome = sv.MeasureQubit(lq, rng_);
-                if (options_.readout_noise) {
-                    const QubitId dq = compact.device_of_local[lq];
-                    if (rng_.Bernoulli(device_->ReadoutError(dq))) {
-                        outcome = !outcome;
-                    }
-                }
-                if (outcome) {
-                    bits |= 1ull << p.local_gate.cbit;
-                }
-                clock[lq] = p.end_ns;
-                continue;
-            }
-            sv.ApplyGate(p.local_gate);
-            if (options_.gate_noise && p.error > 0.0 &&
-                rng_.Bernoulli(p.error)) {
-                apply_pauli_noise(sv, p.local_gate.qubits);
-            }
-            for (QubitId lq : p.local_gate.qubits) {
-                advance_decoherence(sv, lq, p.start_ns, p.end_ns);
-                clock[lq] = p.end_ns;
-            }
-        }
-        counts.Record(bits);
-    }
-    return counts;
+    StateVector sv(plan.width());
+    return RunTrajectories(plan, sv, shots, rng_);
 }
 
 std::vector<double>
 NoisySimulator::IdealProbabilities(const ScheduledCircuit& schedule) const
 {
-    const QubitCompaction compact(schedule);
-    const int width = static_cast<int>(compact.device_of_local.size());
-    XTALK_REQUIRE(width > 0 && width <= 22, "bad schedule width " << width);
-    StateVector sv(width);
+    // Every noise toggle off: the plan is just the compacted ops.
+    const NoisePlan plan = BuildNoisePlan(
+        *device_, schedule, NoisySimOptions{false, false, false, false});
+    XTALK_REQUIRE(plan.width() <= 22, "bad schedule width " << plan.width());
+    StateVector sv(plan.width());
     std::vector<std::pair<int, int>> measures;  // (local qubit, cbit)
-    for (const TimedGate& tg : schedule.gates()) {
-        const Gate local = LocalizeGate(tg.gate, compact);
-        if (local.IsMeasure()) {
-            measures.push_back({local.qubits[0], local.cbit});
-            continue;
-        }
-        if (!local.IsBarrier()) {
-            sv.ApplyGate(local);
+    for (const PlannedOp& op : plan.ops) {
+        if (op.gate.IsMeasure()) {
+            measures.push_back({op.gate.qubits[0], op.gate.cbit});
+        } else {
+            sv.ApplyGate(op.gate);
         }
     }
-    int num_clbits = 1;
-    for (const auto& [q, c] : measures) {
-        num_clbits = std::max(num_clbits, c + 1);
-    }
-    std::vector<double> out(size_t{1} << num_clbits, 0.0);
+    std::vector<double> out(size_t{1} << plan.num_clbits, 0.0);
     const std::vector<double> basis_probs = sv.Probabilities();
     for (size_t basis = 0; basis < basis_probs.size(); ++basis) {
         uint64_t bits = 0;

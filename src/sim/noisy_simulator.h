@@ -18,6 +18,9 @@
  *
  * Only the qubits the schedule touches are simulated (the register is
  * compacted), so 20-qubit devices with few active qubits stay cheap.
+ * Everything the schedule fixes is derived once per Run into a
+ * NoisePlan (sim/noise_plan.h), whose shot loop the StabilizerSimulator
+ * shares.
  */
 #ifndef XTALK_SIM_NOISY_SIMULATOR_H
 #define XTALK_SIM_NOISY_SIMULATOR_H

@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 
 #include "common/error.h"
+#include "sim/noise_plan.h"
 #include "telemetry/telemetry.h"
 #include "telemetry/trace.h"
 
@@ -263,15 +263,31 @@ StabilizerState::MeasureQubit(int q, Rng& rng)
         rows_[p].r = outcome;
         return outcome;
     }
-    // Deterministic outcome.
-    Row scratch{std::vector<uint64_t>(words_, 0),
-                std::vector<uint64_t>(words_, 0), false};
-    for (int i = 0; i < num_qubits_; ++i) {
-        if (rows_[i].GetX(q)) {
-            RowSum(scratch, rows_[i + num_qubits_]);
-        }
+    return ProbabilityOne(q) == 1.0;  // Deterministic outcome.
+}
+
+void
+StabilizerState::AmplitudeDamp(int q, double gamma, Rng& rng)
+{
+    // Pauli twirl of amplitude damping.
+    const double px = gamma / 4.0;
+    const double pz_ad = (1.0 - gamma / 2.0 - std::sqrt(1.0 - gamma)) / 2.0;
+    const double u = rng.Uniform();
+    if (u < px) {
+        ApplyX(q);
+    } else if (u < 2.0 * px) {
+        ApplyY(q);
+    } else if (u < 2.0 * px + pz_ad) {
+        ApplyZ(q);
     }
-    return scratch.r;
+}
+
+void
+StabilizerState::Dephase(int q, double p_flip, Rng& rng)
+{
+    if (rng.Bernoulli(p_flip)) {
+        ApplyZ(q);
+    }
 }
 
 StabilizerSimulator::StabilizerSimulator(const Device& device,
@@ -298,151 +314,14 @@ StabilizerSimulator::Run(const ScheduledCircuit& schedule,
         telemetry::GetCounter("sim.shots")
             .Add(static_cast<uint64_t>(shots));
     }
-    // Compact to the touched qubits (mirrors NoisySimulator).
-    std::map<QubitId, int> local_of;
-    std::vector<QubitId> device_of;
-    for (const TimedGate& tg : schedule.gates()) {
-        for (QubitId q : tg.gate.qubits) {
-            if (!local_of.count(q)) {
-                local_of[q] = static_cast<int>(device_of.size());
-                device_of.push_back(q);
-            }
-        }
-    }
-    const int width = static_cast<int>(device_of.size());
-    XTALK_REQUIRE(width > 0, "schedule touches no qubits");
-
-    // Reuse the crosstalk-aware effective error rates.
-    NoisySimulator reference(*device_, options_);
-
-    struct GatePlan {
-        Gate local_gate;
-        bool is_measure = false;
-        bool is_barrier = false;
-        double start_ns = 0.0;
-        double end_ns = 0.0;
-        double error = 0.0;
-    };
-    std::vector<GatePlan> plan;
-    for (int i = 0; i < schedule.size(); ++i) {
-        const TimedGate& tg = schedule.gates()[i];
-        GatePlan p;
-        p.local_gate = tg.gate;
-        for (QubitId& q : p.local_gate.qubits) {
-            q = local_of.at(q);
-        }
-        p.is_measure = tg.gate.IsMeasure();
-        p.is_barrier = tg.gate.IsBarrier();
-        p.start_ns = tg.start_ns;
-        p.end_ns = tg.end_ns();
-        p.error = reference.EffectiveGateError(schedule, i);
-        plan.push_back(std::move(p));
-    }
+    const NoisePlan plan = BuildNoisePlan(*device_, schedule, options_);
     if (telemetry::Enabled()) {
-        uint64_t unitaries = 0;
-        for (const GatePlan& p : plan) {
-            if (!p.is_measure && !p.is_barrier) {
-                ++unitaries;
-            }
-        }
         telemetry::GetCounter("sim.stabilizer.gate_applications")
-            .Add(unitaries * static_cast<uint64_t>(shots));
+            .Add((plan.ops.size() - plan.num_measures) *
+                 static_cast<uint64_t>(shots));
     }
-
-    std::vector<double> t1_ns(width), tphi_ns(width), first_start(width);
-    for (int local = 0; local < width; ++local) {
-        const QubitId q = device_of[local];
-        t1_ns[local] = device_->T1us(q) * 1000.0;
-        const double t2_ns = device_->T2us(q) * 1000.0;
-        const double inv = 1.0 / t2_ns - 1.0 / (2.0 * t1_ns[local]);
-        tphi_ns[local] = inv > 0.0 ? 1.0 / inv : 0.0;
-        const double fs = schedule.FirstStartOn(q);
-        first_start[local] = fs < 0.0 ? 0.0 : fs;
-    }
-
-    auto advance_decoherence = [&](StabilizerState& state, int local,
-                                   double from, double to) {
-        if (!options_.decoherence || to <= from) {
-            return;
-        }
-        const double dt = to - from;
-        const double gamma = 1.0 - std::exp(-dt / t1_ns[local]);
-        // Pauli twirl of amplitude damping.
-        const double px = gamma / 4.0;
-        const double pz_ad =
-            (1.0 - gamma / 2.0 - std::sqrt(1.0 - gamma)) / 2.0;
-        const double u = rng_.Uniform();
-        if (u < px) {
-            state.ApplyX(local);
-        } else if (u < 2.0 * px) {
-            state.ApplyY(local);
-        } else if (u < 2.0 * px + pz_ad) {
-            state.ApplyZ(local);
-        }
-        if (tphi_ns[local] > 0.0) {
-            const double pz = 0.5 * (1.0 - std::exp(-dt / tphi_ns[local]));
-            if (rng_.Bernoulli(pz)) {
-                state.ApplyZ(local);
-            }
-        }
-    };
-
-    Counts counts(std::max(1, schedule.ToCircuit().num_clbits()));
-    std::vector<double> clock(width);
-    StabilizerState state(width);
-    for (int shot = 0; shot < shots; ++shot) {
-        state.Reset();
-        for (int local = 0; local < width; ++local) {
-            clock[local] = first_start[local];
-        }
-        uint64_t bits = 0;
-        for (const GatePlan& p : plan) {
-            if (p.is_barrier) {
-                continue;
-            }
-            for (QubitId lq : p.local_gate.qubits) {
-                advance_decoherence(state, lq, clock[lq], p.start_ns);
-            }
-            if (p.is_measure) {
-                const QubitId lq = p.local_gate.qubits[0];
-                advance_decoherence(state, lq, p.start_ns, p.end_ns);
-                bool outcome = state.MeasureQubit(lq, rng_);
-                if (options_.readout_noise) {
-                    const QubitId dq = device_of[lq];
-                    if (rng_.Bernoulli(device_->ReadoutError(dq))) {
-                        outcome = !outcome;
-                    }
-                }
-                if (outcome) {
-                    bits |= 1ull << p.local_gate.cbit;
-                }
-                clock[lq] = p.end_ns;
-                continue;
-            }
-            state.ApplyGate(p.local_gate);
-            if (options_.gate_noise && p.error > 0.0 &&
-                rng_.Bernoulli(p.error)) {
-                const int count =
-                    p.local_gate.qubits.size() == 1 ? 3 : 15;
-                int pick = static_cast<int>(rng_.UniformInt(count)) + 1;
-                for (QubitId q : p.local_gate.qubits) {
-                    switch (pick & 3) {
-                      case 1: state.ApplyX(q); break;
-                      case 2: state.ApplyY(q); break;
-                      case 3: state.ApplyZ(q); break;
-                      default: break;
-                    }
-                    pick >>= 2;
-                }
-            }
-            for (QubitId lq : p.local_gate.qubits) {
-                advance_decoherence(state, lq, p.start_ns, p.end_ns);
-                clock[lq] = p.end_ns;
-            }
-        }
-        counts.Record(bits);
-    }
-    return counts;
+    StabilizerState state(plan.width());
+    return RunTrajectories(plan, state, shots, rng_);
 }
 
 }  // namespace xtalk

@@ -5,8 +5,9 @@
  * Tracks an n-qubit stabilizer state in O(n^2) bits and simulates
  * Clifford gates in O(n) and measurements in O(n^2) — exponentially
  * cheaper than the state vector for the Clifford-only circuits of
- * randomized benchmarking. The StabilizerSimulator below mirrors the
- * NoisySimulator's error model on this representation:
+ * randomized benchmarking. The StabilizerSimulator below replays the
+ * same NoisePlan (sim/noise_plan.h) as the NoisySimulator, through the
+ * same shot loop; only the state's noise primitives differ:
  *
  *  - gate errors inject uniform random Paulis (identical to the
  *    trajectory engine — depolarizing noise is a Pauli channel);
@@ -70,6 +71,15 @@ class StabilizerState {
      * for stabilizer states.
      */
     double ProbabilityOne(int q) const;
+
+    /**
+     * Pauli-twirled amplitude damping on @p q with decay probability
+     * @p gamma: one uniform draw picks X, Y, Z or nothing.
+     */
+    void AmplitudeDamp(int q, double gamma, Rng& rng);
+
+    /** Dephasing step: Z on @p q with probability @p p_flip. */
+    void Dephase(int q, double p_flip, Rng& rng);
 
   private:
     struct Row {

@@ -57,9 +57,6 @@ class StateVector {
      */
     bool MeasureQubit(int q, Rng& rng);
 
-    /** Sample a basis index from |amp|^2 without collapsing. */
-    size_t SampleBasis(Rng& rng) const;
-
     /**
      * Amplitude-damping trajectory step on qubit @p q with decay
      * probability @p gamma: stochastically applies the jump (relax to

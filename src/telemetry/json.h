@@ -2,8 +2,8 @@
  * @file
  * Minimal JSON utilities for the telemetry subsystem and the service
  * wire protocol: a streaming writer (handles commas, escaping, and
- * non-finite numbers), a strict syntax validator used by tests and
- * tool self-checks, and a small read-only DOM (JsonValue /
+ * non-finite numbers), a strict syntax check used by tests and tool
+ * self-checks, and a small read-only DOM (JsonValue /
  * ParseJsonValue) for the newline-delimited request/response messages
  * `xtalkd` exchanges with its clients. Not a general-purpose JSON
  * library — the DOM is parse-only and keeps every number as a double.
@@ -57,10 +57,10 @@ class JsonWriter {
 };
 
 /**
- * Strict recursive-descent JSON syntax check (RFC 8259 grammar, no
- * extensions). Returns true when @p text is exactly one valid JSON
- * value; on failure @p error (if non-null) receives a description with
- * a byte offset.
+ * Strict JSON syntax check (RFC 8259 grammar, no extensions): runs
+ * ParseJsonValue and discards the value. Returns true when @p text is
+ * exactly one valid JSON value; on failure @p error (if non-null)
+ * receives a description with a byte offset.
  */
 bool ValidateJson(const std::string& text, std::string* error = nullptr);
 
@@ -120,8 +120,8 @@ class JsonValue {
 };
 
 /**
- * Parse exactly one JSON value (RFC 8259, same grammar the validator
- * accepts; \uXXXX escapes decode to UTF-8, surrogate pairs included).
+ * Parse exactly one JSON value (RFC 8259; \uXXXX escapes decode to
+ * UTF-8, surrogate pairs included).
  * False (with @p error set to a message with a byte offset) on
  * malformed input; @p out is untouched on failure.
  */

@@ -745,6 +745,27 @@ TEST(EngineTest, ReportAndSimulationFillTheirFields)
     EXPECT_FALSE(response.counts.empty());
 }
 
+TEST(EngineTest, SimulatingClassicalBitBeyond63IsAnError)
+{
+    // Counts packs outcomes into 64 bits: c[70] must be refused rather
+    // than recorded as c[6].
+    Engine engine;
+    ServiceRequest request = TinyRequest();
+    request.qasm =
+        "OPENQASM 2.0;\n"
+        "include \"qelib1.inc\";\n"
+        "qreg q[2];\n"
+        "creg c[71];\n"
+        "x q[0];\n"
+        "measure q[0] -> c[70];\n";
+    request.simulate_shots = 64;
+    const ServiceResponse response = engine.Handle(request);
+    EXPECT_EQ(response.code, StatusCode::kError);
+    EXPECT_NE(response.error.find("classical bit 70"), std::string::npos)
+        << response.error;
+    EXPECT_TRUE(response.counts.empty());
+}
+
 // ---------------------------------------------------------------------
 // Request tracing, budget attribution, stats
 

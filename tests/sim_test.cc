@@ -7,14 +7,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
+#include <sstream>
+#include <string>
 
 #include "circuit/circuit.h"
 #include "circuit/schedule.h"
+#include "common/error.h"
 #include "common/rng.h"
 #include "device/ibmq_devices.h"
 #include "sim/counts.h"
 #include "sim/gate_matrices.h"
 #include "sim/noisy_simulator.h"
+#include "sim/stabilizer.h"
 #include "sim/statevector.h"
 
 namespace xtalk {
@@ -344,6 +349,99 @@ TEST(NoisySimulator, DeterministicForFixedSeed)
     Counts a = NoisySimulator(device, options).Run(schedule, RunSpec{500});
     Counts b = NoisySimulator(device, options).Run(schedule, RunSpec{500});
     EXPECT_EQ(a.histogram(), b.histogram());
+}
+
+/**
+ * Poughkeepsie schedule exercising every noise mechanism: CX10,15 runs
+ * beside its high-crosstalk aggressor CX11,12, qubit 12 is measured
+ * mid-circuit and then reused, and qubits 10 and 15 idle for ~2 us.
+ */
+ScheduledCircuit
+PinnedStreamSchedule()
+{
+    ScheduledCircuit s(20);
+    s.Add(Gate{GateKind::kX, {10}, {}, -1}, 0.0, 50.0);
+    s.Add(Gate{GateKind::kH, {11}, {}, -1}, 0.0, 50.0);
+    s.Add(Gate{GateKind::kCX, {10, 15}, {}, -1}, 100.0, 400.0);
+    s.Add(Gate{GateKind::kCX, {11, 12}, {}, -1}, 100.0, 400.0);
+    s.Add(Gate{GateKind::kMeasure, {12}, {}, 2}, 500.0, 1000.0);
+    s.Add(Gate{GateKind::kCX, {12, 11}, {}, -1}, 1500.0, 400.0);
+    s.Add(Gate{GateKind::kS, {10}, {}, -1}, 2500.0, 50.0);
+    s.Add(Gate{GateKind::kCX, {10, 15}, {}, -1}, 2600.0, 400.0);
+    s.Add(Gate{GateKind::kMeasure, {10}, {}, 0}, 3000.0, 1000.0);
+    s.Add(Gate{GateKind::kMeasure, {15}, {}, 1}, 3000.0, 1000.0);
+    s.Add(Gate{GateKind::kMeasure, {11}, {}, 3}, 3000.0, 1000.0);
+    s.Add(Gate{GateKind::kMeasure, {12}, {}, 4}, 3000.0, 1000.0);
+    return s;
+}
+
+std::string
+HistogramLiteral(const Counts& counts)
+{
+    std::ostringstream oss;
+    oss << "{";
+    for (const auto& [bits, n] : counts.histogram()) {
+        oss << "{" << bits << ", " << n << "}, ";
+    }
+    oss << "}";
+    return oss.str();
+}
+
+TEST(NoisySimulator, PinnedRandomStreamsPerNoiseToggle)
+{
+    // Exact histograms for seed 2020: a reordered, extra or missing
+    // random draw anywhere in the run changes them. Index = toggle
+    // switched off (0 = all noise on, then gate noise, crosstalk,
+    // decoherence, readout).
+    const std::map<uint64_t, int> expected[5] = {
+        {{0, 10}, {1, 38}, {2, 16}, {3, 7}, {4, 1}, {5, 6}, {6, 5}, {8, 4},
+         {9, 9}, {10, 5}, {11, 2}, {14, 2}, {16, 2}, {17, 4}, {18, 1},
+         {19, 1}, {20, 17}, {21, 31}, {22, 10}, {23, 10}, {25, 3}, {28, 2},
+         {29, 7}, {30, 6}, {31, 1}},
+        {{0, 12}, {1, 47}, {2, 14}, {3, 7}, {4, 2}, {5, 7}, {6, 4}, {7, 1},
+         {8, 3}, {9, 8}, {10, 2}, {11, 1}, {17, 5}, {18, 1}, {20, 9},
+         {21, 44}, {22, 5}, {23, 10}, {28, 7}, {29, 10}, {30, 1}},
+        {{0, 9}, {1, 48}, {2, 10}, {3, 12}, {4, 4}, {5, 6}, {6, 3}, {7, 1},
+         {9, 7}, {10, 1}, {13, 2}, {14, 1}, {15, 1}, {16, 1}, {17, 6},
+         {18, 1}, {20, 10}, {21, 56}, {22, 9}, {23, 4}, {25, 1}, {29, 5},
+         {31, 2}},
+        {{0, 6}, {1, 48}, {2, 3}, {3, 6}, {4, 1}, {5, 7}, {8, 1}, {9, 6},
+         {11, 1}, {16, 2}, {17, 4}, {19, 1}, {20, 5}, {21, 70}, {22, 2},
+         {23, 9}, {24, 1}, {25, 3}, {28, 2}, {29, 21}, {31, 1}},
+        {{0, 11}, {1, 51}, {2, 14}, {3, 5}, {4, 2}, {5, 4}, {6, 1}, {8, 5},
+         {9, 9}, {10, 2}, {11, 1}, {13, 2}, {14, 1}, {15, 1}, {20, 10},
+         {21, 53}, {22, 13}, {23, 3}, {24, 1}, {25, 1}, {29, 7}, {30, 2},
+         {31, 1}},
+    };
+    const Device device = MakePoughkeepsie();
+    const ScheduledCircuit schedule = PinnedStreamSchedule();
+    for (int toggle_off = 0; toggle_off < 5; ++toggle_off) {
+        NoisySimOptions options;
+        options.seed = 2020;
+        options.gate_noise = toggle_off != 1;
+        options.crosstalk = toggle_off != 2;
+        options.decoherence = toggle_off != 3;
+        options.readout_noise = toggle_off != 4;
+        NoisySimulator sim(device, options);
+        const Counts counts = sim.Run(schedule, RunSpec{200});
+        EXPECT_EQ(counts.histogram(), expected[toggle_off])
+            << "toggle " << toggle_off << ": " << HistogramLiteral(counts);
+    }
+}
+
+TEST(NoisySimulator, RejectsClassicalBitsBeyondCountsWidth)
+{
+    // Counts packs outcomes into 64 bits; clbit 70 must be refused, not
+    // silently recorded as clbit 6.
+    const Device device = MakeLinearDevice(2, 3);
+    ScheduledCircuit schedule(2);
+    schedule.Add(Gate{GateKind::kX, {0}, {}, -1}, 0.0, 50.0);
+    schedule.Add(Gate{GateKind::kMeasure, {0}, {}, 70}, 50.0, 1000.0);
+    NoisySimulator sim(device);
+    StabilizerSimulator stabilizer(device);
+    EXPECT_THROW(sim.Run(schedule, RunSpec{8}), Error);
+    EXPECT_THROW(stabilizer.Run(schedule, RunSpec{8}), Error);
+    EXPECT_THROW(sim.IdealProbabilities(schedule), Error);
 }
 
 }  // namespace

@@ -388,7 +388,9 @@ TEST(ValidateJson, RejectsMalformedDocuments)
     for (const char* doc :
          {"", "{", "}", "[1,]", "{\"a\":}", "{'a':1}", "01", "+1",
           "\"unterminated", "nul", "[1 2]", "{\"a\":1,}", "\x01",
-          "{\"a\":1}extra"}) {
+          "{\"a\":1}extra",
+          // A high surrogate must pair with a low one.
+          "\"\\ud800\\u0041\""}) {
         EXPECT_FALSE(ValidateJson(doc)) << "accepted: " << doc;
     }
 }
