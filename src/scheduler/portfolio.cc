@@ -421,6 +421,7 @@ SchedulerPortfolio::Run(const Circuit& circuit, const PortfolioContext& ctx,
     // Race members [first, n) concurrently on the pool, joining in rank
     // order; once a joined candidate reaches the ceiling, cancel the
     // rest.
+    int ceiling_rank = -1;
     const auto race = [&](int first) {
         std::shared_ptr<runtime::ThreadPool> pool =
             options.pool ? options.pool : runtime::ThreadPool::Shared();
@@ -438,9 +439,10 @@ SchedulerPortfolio::Run(const Circuit& circuit, const PortfolioContext& ctx,
         for (int rank = first; rank < n; ++rank) {
             futures[rank - first].get();
             const MemberAttempt& attempt = attempts[rank];
-            if (attempt.candidate &&
+            if (ceiling_rank < 0 && attempt.candidate &&
                 attempt.candidate->estimate.success_probability >=
                     upper_bound) {
+                ceiling_rank = rank;
                 for (int later = rank + 1; later < n; ++later) {
                     if (attempts[later].token) {
                         attempts[later].token->Cancel();
@@ -561,6 +563,13 @@ SchedulerPortfolio::Run(const Circuit& circuit, const PortfolioContext& ctx,
             outcome.status = PortfolioMemberOutcome::Status::kWon;
             outcome.score = result.winner.estimate.success_probability;
             outcome.has_score = true;
+        } else if (ceiling_rank >= 0 && rank > ceiling_rank) {
+            // Cancelled at the ceiling: whether the member finished
+            // before the cancel is timing, so it must not show.
+            outcome.status = PortfolioMemberOutcome::Status::kLost;
+            outcome.reason = "cancelled: " +
+                             members_[ceiling_rank]->display_name() +
+                             " reached the score ceiling";
         } else if (attempts[rank].candidate) {
             outcome.status = PortfolioMemberOutcome::Status::kLost;
             outcome.score =

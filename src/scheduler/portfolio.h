@@ -21,7 +21,9 @@
  * score reaches the theoretical upper bound for the circuit
  * (UpperBoundSuccessProbability), members ranked after it are cancelled
  * — they could at best tie, and a tie loses to the earlier rank, so
- * cancelling them cannot change the winner.
+ * cancelling them cannot change the winner. Each of them is reported
+ * lost, without a score, whether or not it finished before the cancel,
+ * so the outcomes too are the same at any thread count.
  *
  * Threading contract: Run() blocks on pool futures, so — like
  * runtime::Executor::Submit — it must NOT be called from a pool worker
@@ -137,7 +139,8 @@ struct PortfolioMemberOutcome {
     double score = 0.0;
     bool has_score = false;
     double wall_ms = 0.0;
-    /** Failure message (kFailed) or "" otherwise. */
+    /** Failure message (kFailed), the cancel reason of a member ranked
+     *  after one that reached the score ceiling, or "" otherwise. */
     std::string reason;
 };
 

@@ -12,10 +12,37 @@
 namespace xtalk {
 
 /**
- * Unitary for a gate: 2x2 for single-qubit kinds, 4x4 for two-qubit
- * kinds with qubits[0] as the *low* tensor factor. Throws for barriers
- * and measures.
+ * Unitary of a one-qubit (2x2) or two-qubit (4x4) gate in fixed
+ * row-major storage. It never allocates and is trivially destructible,
+ * so a trajectory plan can hold one per op and constant tables of it
+ * need no destructor at exit.
  */
+struct GateMatrix {
+    int dim = 0;          ///< 2 or 4.
+    Complex m[16] = {};   ///< Entries (r, c) at m[r * dim + c].
+
+    const Complex& operator()(int r, int c) const { return m[r * dim + c]; }
+
+    /** The same entries as a heap-backed Matrix. */
+    Matrix ToMatrix() const;
+};
+
+/** I, X, Y, Z, indexed like the Pauli-error draw (0 = identity). */
+inline constexpr GateMatrix kPauliMatrices[4] = {
+    {2, {1, 0, 0, 1}},
+    {2, {0, 1, 1, 0}},
+    {2, {0, -Complex(0, 1), Complex(0, 1), 0}},
+    {2, {1, 0, 0, -1}},
+};
+
+/**
+ * Unitary for a gate: 2x2 for single-qubit kinds, 4x4 for two-qubit
+ * kinds with qubits[0] as the *low* tensor factor. Throws for barriers,
+ * measures and missing parameters.
+ */
+GateMatrix GateMatrixOf(const Gate& gate);
+
+/** GateMatrixOf(gate) as a Matrix. */
 Matrix GateUnitary(const Gate& gate);
 
 /** 2x2 single-qubit unitaries. */

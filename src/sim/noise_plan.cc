@@ -16,6 +16,36 @@ namespace {
 constexpr GateKind kPaulis[] = {GateKind::kI, GateKind::kX, GateKind::kY,
                                 GateKind::kZ};
 
+// How each engine applies a planned gate and Pauli error @p pauli (an
+// index into kPaulis): the state vector multiplies by the plan's matrix
+// and the constant Pauli table, so a shot neither allocates nor
+// evaluates trig; the stabilizer dispatches on the gate kind.
+void
+ApplyPlanned(StateVector& state, const NoisePlan& plan, size_t i)
+{
+    state.ApplyGate(plan.ops[i].gate, plan.unitaries[i]);
+}
+
+void
+ApplyPlanned(StabilizerState& state, const NoisePlan& plan, size_t i)
+{
+    state.ApplyGate(plan.ops[i].gate);
+}
+
+void
+ApplyPauli(StateVector& state, int pauli, QubitId q)
+{
+    if (pauli != 0) {
+        state.Apply1Q(q, kPauliMatrices[pauli]);
+    }
+}
+
+void
+ApplyPauli(StabilizerState& state, int pauli, QubitId q)
+{
+    state.ApplyGate(Gate{kPaulis[pauli], {q}, {}, -1});
+}
+
 }  // namespace
 
 double
@@ -98,6 +128,7 @@ BuildNoisePlan(const Device& device, const ScheduledCircuit& schedule,
     };
 
     plan.ops.reserve(schedule.size());
+    plan.unitaries.reserve(schedule.size());
     for (int i = 0; i < schedule.size(); ++i) {
         const TimedGate& tg = schedule.gates()[i];
         if (tg.gate.IsBarrier()) {
@@ -129,6 +160,8 @@ BuildNoisePlan(const Device& device, const ScheduledCircuit& schedule,
             op.error = CrosstalkAwareGateError(device, schedule, i,
                                                options.crosstalk);
         }
+        plan.unitaries.push_back(op.gate.IsMeasure() ? GateMatrix{}
+                                                     : GateMatrixOf(op.gate));
         op.steps_mid = static_cast<int>(plan.steps.size());
         for (QubitId lq : op.gate.qubits) {
             if (!op.gate.IsMeasure()) {
@@ -159,7 +192,8 @@ RunTrajectories(const NoisePlan& plan, State& state, int shots, Rng& rng)
     for (int shot = 0; shot < shots; ++shot) {
         state.Reset();
         uint64_t bits = 0;
-        for (const PlannedOp& op : plan.ops) {
+        for (size_t i = 0; i < plan.ops.size(); ++i) {
+            const PlannedOp& op = plan.ops[i];
             decohere(op.steps_begin, op.steps_mid);
             if (op.gate.IsMeasure()) {
                 bool outcome = state.MeasureQubit(op.gate.qubits[0], rng);
@@ -170,13 +204,13 @@ RunTrajectories(const NoisePlan& plan, State& state, int shots, Rng& rng)
                     bits |= 1ull << op.gate.cbit;
                 }
             } else {
-                state.ApplyGate(op.gate);
+                ApplyPlanned(state, plan, i);
                 if (op.error > 0.0 && rng.Bernoulli(op.error)) {
                     // Uniform non-identity Pauli string: 4^k - 1 choices.
                     const int choices = op.gate.qubits.size() == 1 ? 3 : 15;
                     int pick = static_cast<int>(rng.UniformInt(choices)) + 1;
                     for (QubitId q : op.gate.qubits) {
-                        state.ApplyGate(Gate{kPaulis[pick & 3], {q}, {}, -1});
+                        ApplyPauli(state, pick & 3, q);
                         pick >>= 2;
                     }
                 }

@@ -16,6 +16,7 @@
 #include "common/rng.h"
 #include "device/device.h"
 #include "sim/counts.h"
+#include "sim/gate_matrices.h"
 #include "sim/noisy_simulator.h"
 
 namespace xtalk {
@@ -53,6 +54,9 @@ struct PlannedOp {
 struct NoisePlan {
     std::vector<QubitId> device_of_local;
     std::vector<PlannedOp> ops;
+    /** unitaries[i] = GateMatrixOf(ops[i].gate), empty for a measure.
+     *  Kept apart from ops so the stabilizer's loop never walks them. */
+    std::vector<GateMatrix> unitaries;
     std::vector<DecoherenceStep> steps;
     int num_clbits = 1;
     int num_measures = 0;

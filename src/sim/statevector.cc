@@ -1,12 +1,35 @@
 #include "sim/statevector.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/error.h"
-#include "sim/gate_matrices.h"
 #include "telemetry/telemetry.h"
 
 namespace xtalk {
+
+namespace {
+
+/**
+ * u * a as (ac - bd, ad + bc): what std::complex's operator* computes
+ * for finite operands, without its NaN-recovery branch.
+ */
+inline Complex
+Mul(Complex u, Complex a)
+{
+    return Complex(u.real() * a.real() - u.imag() * a.imag(),
+                   u.real() * a.imag() + u.imag() * a.real());
+}
+
+/** @p x with a zero bit inserted at position @p bit. */
+inline size_t
+InsertZeroBit(size_t x, int bit)
+{
+    const size_t low = (size_t{1} << bit) - 1;
+    return ((x & ~low) << 1) | (x & low);
+}
+
+}  // namespace
 
 StateVector::StateVector(int num_qubits) : num_qubits_(num_qubits)
 {
@@ -26,61 +49,92 @@ StateVector::Reset()
 void
 StateVector::Apply1Q(int q, const Matrix& u)
 {
-    XTALK_REQUIRE(q >= 0 && q < num_qubits_, "qubit out of range");
     XTALK_ASSERT(u.rows() == 2 && u.cols() == 2, "expected 2x2 unitary");
-    if (telemetry::Enabled()) {
-        static telemetry::Counter& gates_1q =
-            telemetry::GetCounter("sim.statevector.kernel.1q");
-        gates_1q.Add(1);
-    }
-    const size_t stride = size_t{1} << q;
-    const Complex u00 = u(0, 0), u01 = u(0, 1), u10 = u(1, 0), u11 = u(1, 1);
-    for (size_t base = 0; base < amps_.size(); base += 2 * stride) {
-        for (size_t offset = 0; offset < stride; ++offset) {
-            const size_t i0 = base + offset;
-            const size_t i1 = i0 + stride;
-            const Complex a0 = amps_[i0];
-            const Complex a1 = amps_[i1];
-            amps_[i0] = u00 * a0 + u01 * a1;
-            amps_[i1] = u10 * a0 + u11 * a1;
-        }
-    }
+    Kernel1Q(q, &u(0, 0));
+}
+
+void
+StateVector::Apply1Q(int q, const GateMatrix& u)
+{
+    XTALK_ASSERT(u.dim == 2, "expected 2x2 unitary");
+    Kernel1Q(q, u.m);
 }
 
 void
 StateVector::Apply2Q(int q_low, int q_high, const Matrix& u)
 {
+    XTALK_ASSERT(u.rows() == 4 && u.cols() == 4, "expected 4x4 unitary");
+    Kernel2Q(q_low, q_high, &u(0, 0));
+}
+
+void
+StateVector::Apply2Q(int q_low, int q_high, const GateMatrix& u)
+{
+    XTALK_ASSERT(u.dim == 4, "expected 4x4 unitary");
+    Kernel2Q(q_low, q_high, u.m);
+}
+
+void
+StateVector::Kernel1Q(int q, const Complex* u)
+{
+    XTALK_REQUIRE(q >= 0 && q < num_qubits_, "qubit out of range");
+    if (telemetry::Enabled()) {
+        static telemetry::Counter& gates_1q =
+            telemetry::GetCounter("sim.statevector.kernel.1q");
+        gates_1q.Add(1);
+    }
+    const Complex u00 = u[0], u01 = u[1], u10 = u[2], u11 = u[3];
+    const size_t stride = size_t{1} << q;
+    Complex* amps = amps_.data();
+    for (size_t base = 0; base < amps_.size(); base += 2 * stride) {
+        for (size_t i0 = base; i0 < base + stride; ++i0) {
+            const size_t i1 = i0 + stride;
+            const Complex a0 = amps[i0];
+            const Complex a1 = amps[i1];
+            amps[i0] = Mul(u00, a0) + Mul(u01, a1);
+            amps[i1] = Mul(u10, a0) + Mul(u11, a1);
+        }
+    }
+}
+
+void
+StateVector::Kernel2Q(int q_low, int q_high, const Complex* u)
+{
     XTALK_REQUIRE(q_low >= 0 && q_low < num_qubits_ && q_high >= 0 &&
                       q_high < num_qubits_ && q_low != q_high,
                   "invalid qubit pair (" << q_low << ", " << q_high << ")");
-    XTALK_ASSERT(u.rows() == 4 && u.cols() == 4, "expected 4x4 unitary");
     if (telemetry::Enabled()) {
         static telemetry::Counter& gates_2q =
             telemetry::GetCounter("sim.statevector.kernel.2q");
         gates_2q.Add(1);
     }
-    const size_t mask_low = size_t{1} << q_low;
-    const size_t mask_high = size_t{1} << q_high;
-    for (size_t i = 0; i < amps_.size(); ++i) {
-        if ((i & mask_low) || (i & mask_high)) {
-            continue;  // Visit each 4-tuple once, at its 00 member.
-        }
-        const size_t i00 = i;
-        const size_t i01 = i | mask_low;   // Local index 1 = low bit set.
-        const size_t i10 = i | mask_high;  // Local index 2 = high bit set.
-        const size_t i11 = i | mask_low | mask_high;
-        const Complex a00 = amps_[i00];
-        const Complex a01 = amps_[i01];
-        const Complex a10 = amps_[i10];
-        const Complex a11 = amps_[i11];
-        amps_[i00] = u(0, 0) * a00 + u(0, 1) * a01 + u(0, 2) * a10 +
-                     u(0, 3) * a11;
-        amps_[i01] = u(1, 0) * a00 + u(1, 1) * a01 + u(1, 2) * a10 +
-                     u(1, 3) * a11;
-        amps_[i10] = u(2, 0) * a00 + u(2, 1) * a01 + u(2, 2) * a10 +
-                     u(2, 3) * a11;
-        amps_[i11] = u(3, 0) * a00 + u(3, 1) * a01 + u(3, 2) * a10 +
-                     u(3, 3) * a11;
+    // Locals, so the amplitude stores cannot force reloads.
+    Complex c[16];
+    std::copy(u, u + 16, c);
+    const int bit_a = std::min(q_low, q_high);
+    const int bit_b = std::max(q_low, q_high);
+    const size_t mask_low = size_t{1} << q_low;   // Local index 1.
+    const size_t mask_high = size_t{1} << q_high; // Local index 2.
+    Complex* amps = amps_.data();
+    // Each k in [0, 2^(n-2)) is one 4-tuple's 00 member with zero bits
+    // inserted at both qubit positions, lower position first.
+    for (size_t k = 0; k < amps_.size() / 4; ++k) {
+        const size_t i00 = InsertZeroBit(InsertZeroBit(k, bit_a), bit_b);
+        const size_t i01 = i00 | mask_low;
+        const size_t i10 = i00 | mask_high;
+        const size_t i11 = i01 | mask_high;
+        const Complex a00 = amps[i00];
+        const Complex a01 = amps[i01];
+        const Complex a10 = amps[i10];
+        const Complex a11 = amps[i11];
+        amps[i00] = Mul(c[0], a00) + Mul(c[1], a01) + Mul(c[2], a10) +
+                    Mul(c[3], a11);
+        amps[i01] = Mul(c[4], a00) + Mul(c[5], a01) + Mul(c[6], a10) +
+                    Mul(c[7], a11);
+        amps[i10] = Mul(c[8], a00) + Mul(c[9], a01) + Mul(c[10], a10) +
+                    Mul(c[11], a11);
+        amps[i11] = Mul(c[12], a00) + Mul(c[13], a01) + Mul(c[14], a10) +
+                    Mul(c[15], a11);
     }
 }
 
@@ -92,7 +146,15 @@ StateVector::ApplyGate(const Gate& gate)
     }
     XTALK_REQUIRE(!gate.IsMeasure(),
                   "measure must go through MeasureQubit");
-    const Matrix u = GateUnitary(gate);
+    ApplyGate(gate, GateMatrixOf(gate));
+}
+
+void
+StateVector::ApplyGate(const Gate& gate, const GateMatrix& u)
+{
+    if (gate.kind == GateKind::kI) {
+        return;
+    }
     if (gate.qubits.size() == 1) {
         Apply1Q(gate.qubits[0], u);
     } else {
@@ -116,10 +178,10 @@ double
 StateVector::ProbabilityOne(int q) const
 {
     XTALK_REQUIRE(q >= 0 && q < num_qubits_, "qubit out of range");
-    const size_t mask = size_t{1} << q;
+    const size_t stride = size_t{1} << q;
     double p = 0.0;
-    for (size_t i = 0; i < amps_.size(); ++i) {
-        if (i & mask) {
+    for (size_t base = stride; base < amps_.size(); base += 2 * stride) {
+        for (size_t i = base; i < base + stride; ++i) {
             p += std::norm(amps_[i]);
         }
     }
@@ -141,14 +203,18 @@ StateVector::MeasureQubit(int q, Rng& rng)
 {
     const double p1 = ProbabilityOne(q);
     const bool outcome = rng.Bernoulli(p1);
-    const size_t mask = size_t{1} << q;
-    for (size_t i = 0; i < amps_.size(); ++i) {
-        const bool bit = (i & mask) != 0;
-        if (bit != outcome) {
-            amps_[i] = Complex(0.0, 0.0);
+    // Zero the other branch; the kept amplitudes are the only nonzero
+    // terms of the squared norm, and they are summed in index order.
+    const size_t stride = size_t{1} << q;
+    const size_t keep = outcome ? stride : 0;
+    double norm_sq = 0.0;
+    for (size_t base = 0; base < amps_.size(); base += 2 * stride) {
+        for (size_t i0 = base; i0 < base + stride; ++i0) {
+            amps_[i0 + stride - keep] = Complex(0.0, 0.0);
+            norm_sq += std::norm(amps_[i0 + keep]);
         }
     }
-    Renormalize();
+    Normalize(norm_sq);
     return outcome;
 }
 
@@ -161,29 +227,33 @@ StateVector::AmplitudeDamp(int q, double gamma, Rng& rng)
         return;
     }
     const double p_jump = gamma * ProbabilityOne(q);
-    const size_t mask = size_t{1} << q;
+    const size_t stride = size_t{1} << q;
+    // Each pass sums the new squared norm in index order as it writes.
+    double norm_sq = 0.0;
     if (rng.Bernoulli(p_jump)) {
-        // Jump: K1 = sqrt(gamma) |0><1| — the excited component relaxes.
-        for (size_t i = 0; i < amps_.size(); ++i) {
-            if (!(i & mask)) {
-                amps_[i] = amps_[i | mask];  // Move |1> amplitude to |0>.
-            }
-        }
-        for (size_t i = 0; i < amps_.size(); ++i) {
-            if (i & mask) {
-                amps_[i] = Complex(0.0, 0.0);
+        // Jump: K1 = sqrt(gamma) |0><1| — the excited component relaxes
+        // (moves to |0>); the zeroed |1> half adds nothing to the norm.
+        for (size_t base = 0; base < amps_.size(); base += 2 * stride) {
+            for (size_t i0 = base; i0 < base + stride; ++i0) {
+                amps_[i0] = amps_[i0 + stride];
+                amps_[i0 + stride] = Complex(0.0, 0.0);
+                norm_sq += std::norm(amps_[i0]);
             }
         }
     } else {
         // No jump: K0 = |0><0| + sqrt(1-gamma) |1><1|.
         const double scale = std::sqrt(1.0 - gamma);
-        for (size_t i = 0; i < amps_.size(); ++i) {
-            if (i & mask) {
+        for (size_t base = 0; base < amps_.size(); base += 2 * stride) {
+            for (size_t i = base; i < base + stride; ++i) {
+                norm_sq += std::norm(amps_[i]);
+            }
+            for (size_t i = base + stride; i < base + 2 * stride; ++i) {
                 amps_[i] *= scale;
+                norm_sq += std::norm(amps_[i]);
             }
         }
     }
-    Renormalize();
+    Normalize(norm_sq);
 }
 
 void
@@ -192,7 +262,7 @@ StateVector::Dephase(int q, double p_flip, Rng& rng)
     XTALK_REQUIRE(p_flip >= 0.0 && p_flip <= 0.5 + 1e-12,
                   "dephasing probability " << p_flip << " outside [0, 0.5]");
     if (p_flip > 0.0 && rng.Bernoulli(p_flip)) {
-        Apply1Q(q, MatZ());
+        Apply1Q(q, kPauliMatrices[3]);
     }
 }
 
@@ -224,9 +294,9 @@ StateVector::Norm() const
 }
 
 void
-StateVector::Renormalize()
+StateVector::Normalize(double norm_sq)
 {
-    const double norm = Norm();
+    const double norm = std::sqrt(norm_sq);
     XTALK_ASSERT(norm > 1e-12, "state collapsed to zero norm");
     const double inv = 1.0 / norm;
     for (Complex& a : amps_) {
@@ -246,7 +316,7 @@ CircuitUnitary(const Circuit& circuit)
         // Prepare basis state |col>.
         for (int q = 0; q < circuit.num_qubits(); ++q) {
             if ((col >> q) & 1) {
-                sv.Apply1Q(q, MatX());
+                sv.Apply1Q(q, kPauliMatrices[1]);
             }
         }
         sv.ApplyCircuit(circuit);

@@ -13,6 +13,7 @@
 #include "circuit/circuit.h"
 #include "common/matrix.h"
 #include "common/rng.h"
+#include "sim/gate_matrices.h"
 
 namespace xtalk {
 
@@ -32,15 +33,23 @@ class StateVector {
 
     /** Apply a 2x2 unitary to qubit @p q. */
     void Apply1Q(int q, const Matrix& u);
+    void Apply1Q(int q, const GateMatrix& u);
 
     /**
      * Apply a 4x4 unitary with @p q_low as the low tensor bit and
      * @p q_high as the high bit.
      */
     void Apply2Q(int q_low, int q_high, const Matrix& u);
+    void Apply2Q(int q_low, int q_high, const GateMatrix& u);
 
     /** Apply a circuit gate (unitary kinds; kI/kBarrier are no-ops). */
     void ApplyGate(const Gate& gate);
+
+    /**
+     * Apply unitary gate @p gate whose GateMatrixOf is @p u, built once
+     * by the caller (kI is a no-op).
+     */
+    void ApplyGate(const Gate& gate, const GateMatrix& u);
 
     /** Apply all unitary gates of a circuit in order. */
     void ApplyCircuit(const Circuit& circuit);
@@ -80,7 +89,13 @@ class StateVector {
     double Norm() const;
 
   private:
-    void Renormalize();
+    /** Row-major 2x2 (4x4) @p u on qubit @p q (pair @p q_low, @p q_high). */
+    void Kernel1Q(int q, const Complex* u);
+    void Kernel2Q(int q_low, int q_high, const Complex* u);
+
+    /** Divide every amplitude by sqrt(@p norm_sq), the squared norm
+     *  summed in index order as Norm() sums it. */
+    void Normalize(double norm_sq);
 
     int num_qubits_;
     std::vector<Complex> amps_;

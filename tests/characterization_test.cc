@@ -17,6 +17,7 @@
 #include "characterization/rb.h"
 #include "common/error.h"
 #include "device/ibmq_devices.h"
+#include "experiments/experiments.h"
 #include "faults/faults.h"
 
 namespace xtalk {
@@ -268,6 +269,16 @@ TEST(Characterizer, DiscoversInjectedHighCrosstalkPair)
               2.0 * result.IndependentError(victim));
     const auto high = result.HighCrosstalkPairs(2.0);
     EXPECT_FALSE(high.empty());
+}
+
+// The service caches characterizations under this id, so any change to
+// the RB simulation's arithmetic or random draws shows up here.
+TEST(Characterizer, PoughkeepsieBenchSnapshotIdIsPinned)
+{
+    const CrosstalkCharacterization result =
+        CharacterizeDevice(MakePoughkeepsie(), BenchRbConfig(),
+                           CharacterizationPolicy::kOneHopBinPacked, 1);
+    EXPECT_EQ(result.SnapshotId(), "edda9edbc7368073");
 }
 
 TEST(CharacterizerResilience, RetriedExperimentIsBitIdenticalToFaultFree)

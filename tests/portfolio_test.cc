@@ -9,8 +9,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "characterization/characterizer.h"
@@ -186,6 +190,143 @@ TEST(Portfolio, RaceWinnerIsAtLeastAsGoodAsEveryStandaloneMember)
                   UpperBoundSuccessProbability(circuit, device,
                                                &characterization) +
                       1e-12);
+    }
+}
+
+/**
+ * Test-only member that produces the "parallel" candidate. With @p block
+ * set it first waits for its cancel token to fire; it throws if the
+ * token fired before it produced anything, and sets @p done on exit.
+ */
+class ProbeMember : public PortfolioMember {
+  public:
+    ProbeMember(bool block, std::atomic<bool>* done)
+        : block_(block), done_(done)
+    {
+    }
+    std::string key() const override { return "probe"; }
+    std::string display_name() const override { return "ProbeSched"; }
+    std::string description() const override { return "test probe"; }
+    ScheduleCandidate
+    Produce(const Circuit& circuit, const PortfolioContext& ctx) override
+    {
+        struct SetOnExit {
+            std::atomic<bool>* flag;
+            ~SetOnExit() { flag->store(true); }
+        } set_done{done_};
+        while (block_ && !ctx.cancel->Cancelled()) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        ctx.cancel->ThrowIfCancelled("probe cancelled");
+        return MakePortfolioMember("parallel")->Produce(circuit, ctx);
+    }
+
+  private:
+    bool block_;
+    std::atomic<bool>* done_;
+};
+
+/** Test-only wrapper: runs @p inner once @p ready is set. */
+class AfterMember : public PortfolioMember {
+  public:
+    AfterMember(std::unique_ptr<PortfolioMember> inner,
+                const std::atomic<bool>* ready)
+        : inner_(std::move(inner)), ready_(ready)
+    {
+    }
+    std::string key() const override { return inner_->key(); }
+    std::string
+    display_name() const override
+    {
+        return inner_->display_name();
+    }
+    std::string
+    description() const override
+    {
+        return inner_->description();
+    }
+    ScheduleCandidate
+    Produce(const Circuit& circuit, const PortfolioContext& ctx) override
+    {
+        while (!ready_->load()) {
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+        return inner_->Produce(circuit, ctx);
+    }
+
+  private:
+    std::unique_ptr<PortfolioMember> inner_;
+    const std::atomic<bool>* ready_;
+};
+
+std::string
+OutcomeSummary(const PortfolioResult& result)
+{
+    std::ostringstream out;
+    out << std::hexfloat;
+    for (const PortfolioMemberOutcome& o : result.outcomes) {
+        out << o.member << " " << PortfolioOutcomeStatusName(o.status)
+            << " ";
+        if (o.has_score) {
+            out << o.score;
+        } else {
+            out << "-";
+        }
+        out << " [" << o.reason << "]\n";
+    }
+    return out.str();
+}
+
+TEST(Portfolio, OutcomesAfterTheCeilingAreTheSameAtAnyThreadCount)
+{
+    // A lone CX: the serial schedule reaches the score ceiling, so every
+    // member ranked after it is cancelled. The probe finishes before
+    // that cancel on a multi-thread pool (serial waits for it) and is
+    // still blocked in it on one thread; anneal may or may not finish.
+    // None of that may show in the reported outcomes.
+    const Device device = MakePoughkeepsie();
+    const auto characterization = OracleCharacterization(device);
+    Circuit circuit(20);
+    circuit.CX(10, 15);
+    circuit.Measure(10, 0).Measure(15, 1);
+    PortfolioContext ctx;
+    ctx.device = &device;
+    ctx.characterization = &characterization;
+
+    std::string first;
+    for (int threads : {1, 2, 8}) {
+        std::atomic<bool> probe_done{threads == 1};
+        std::vector<std::unique_ptr<PortfolioMember>> members;
+        members.push_back(std::make_unique<AfterMember>(
+            MakePortfolioMember("serial"), &probe_done));
+        members.push_back(
+            std::make_unique<ProbeMember>(threads == 1, &probe_done));
+        members.push_back(MakePortfolioMember("anneal"));
+        SchedulerPortfolio portfolio(std::move(members));
+        PortfolioRunOptions run_options;
+        run_options.pool = std::make_shared<runtime::ThreadPool>(threads);
+        const PortfolioResult result =
+            portfolio.Run(circuit, ctx, run_options);
+
+        ASSERT_EQ(result.winner_rank, 0) << "threads=" << threads;
+        ASSERT_GE(result.winner.estimate.success_probability,
+                  UpperBoundSuccessProbability(circuit, device,
+                                               &characterization));
+        ASSERT_EQ(result.outcomes.size(), 3u);
+        for (int rank : {1, 2}) {
+            const PortfolioMemberOutcome& o = result.outcomes[rank];
+            EXPECT_EQ(o.status, PortfolioMemberOutcome::Status::kLost);
+            EXPECT_FALSE(o.has_score);
+            EXPECT_NE(o.reason.find("SerialSched reached the score ceiling"),
+                      std::string::npos)
+                << o.reason;
+        }
+        const std::string summary = OutcomeSummary(result);
+        if (first.empty()) {
+            first = summary;
+        } else {
+            EXPECT_EQ(summary, first) << "threads=" << threads;
+        }
     }
 }
 

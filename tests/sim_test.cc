@@ -10,6 +10,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "circuit/circuit.h"
 #include "circuit/schedule.h"
@@ -113,6 +114,122 @@ TEST(StateVector, SwapGateExchangesQubits)
     Gate swap{GateKind::kSwap, {0, 1}, {}, -1};
     sv.ApplyGate(swap);
     EXPECT_NEAR(std::abs(sv.amplitude(2)), 1.0, 1e-12);  // |10>
+}
+
+/** A 5-qubit state with every amplitude distinct and nonzero. */
+StateVector
+GenericState()
+{
+    StateVector sv(5);
+    for (int q = 0; q < 5; ++q) {
+        sv.Apply1Q(q, MatU3(0.4 + 0.3 * q, 0.9 - 0.2 * q, 0.1 * q + 0.5));
+    }
+    for (int q = 0; q + 1 < 5; ++q) {
+        sv.Apply2Q(q, q + 1, MatCX());
+        sv.Apply1Q(q, MatRY(0.7 + q));
+    }
+    return sv;
+}
+
+/**
+ * Reference for a 4x4 @p u on (@p q_low, @p q_high) of a 5-qubit
+ * state: relabel the qubits so the pair is bits 0 and 1, apply
+ * I (x) u, and relabel back.
+ */
+std::vector<Complex>
+Reference2Q(const StateVector& sv, int q_low, int q_high, const Matrix& u)
+{
+    std::vector<int> bit_of = {q_low, q_high};  // New bit -> old bit.
+    for (int q = 0; q < 5; ++q) {
+        if (q != q_low && q != q_high) {
+            bit_of.push_back(q);
+        }
+    }
+    const auto old_index = [&](size_t j) {
+        size_t i = 0;
+        for (int b = 0; b < 5; ++b) {
+            i |= ((j >> b) & 1) << bit_of[b];
+        }
+        return i;
+    };
+    Matrix column(32, 1);
+    for (size_t j = 0; j < 32; ++j) {
+        column(j, 0) = sv.amplitude(old_index(j));
+    }
+    const Matrix out = Matrix::Identity(8).Kron(u) * column;
+    std::vector<Complex> amps(32);
+    for (size_t j = 0; j < 32; ++j) {
+        amps[old_index(j)] = out(j, 0);
+    }
+    return amps;
+}
+
+void
+ExpectAmplitudesNear(const StateVector& sv, const std::vector<Complex>& want)
+{
+    for (size_t i = 0; i < want.size(); ++i) {
+        EXPECT_NEAR(sv.amplitude(i).real(), want[i].real(), 1e-12) << i;
+        EXPECT_NEAR(sv.amplitude(i).imag(), want[i].imag(), 1e-12) << i;
+    }
+}
+
+TEST(StateVector, Apply2QMatchesKronReferenceOnEveryOrderedPair)
+{
+    // Not symmetric under exchanging its qubits, so a swapped role or
+    // a wrong index shows.
+    const Matrix u =
+        MatU3(0.3, 1.1, -0.7).Kron(MatU3(1.9, -0.4, 2.5)) * MatCX();
+    ASSERT_TRUE(u.IsUnitary());
+    for (int q_low = 0; q_low < 5; ++q_low) {
+        for (int q_high = 0; q_high < 5; ++q_high) {
+            if (q_low == q_high) {
+                continue;
+            }
+            StateVector sv = GenericState();
+            const std::vector<Complex> want =
+                Reference2Q(sv, q_low, q_high, u);
+            sv.Apply2Q(q_low, q_high, u);
+            SCOPED_TRACE(::testing::Message()
+                         << "pair (" << q_low << ", " << q_high << ")");
+            ExpectAmplitudesNear(sv, want);
+        }
+    }
+}
+
+TEST(StateVector, Apply1QMatchesKronReferenceOnEveryQubit)
+{
+    const Matrix u = MatU3(0.8, -1.3, 0.6);
+    for (int q = 0; q < 5; ++q) {
+        StateVector sv = GenericState();
+        Matrix column(32, 1);
+        for (size_t i = 0; i < 32; ++i) {
+            column(i, 0) = sv.amplitude(i);
+        }
+        const Matrix full = Matrix::Identity(size_t{1} << (4 - q))
+                                .Kron(u)
+                                .Kron(Matrix::Identity(size_t{1} << q));
+        const Matrix out = full * column;
+        std::vector<Complex> want(32);
+        for (size_t i = 0; i < 32; ++i) {
+            want[i] = out(i, 0);
+        }
+        sv.Apply1Q(q, u);
+        SCOPED_TRACE(::testing::Message() << "qubit " << q);
+        ExpectAmplitudesNear(sv, want);
+    }
+}
+
+TEST(StateVector, GateMatrixAndMatrixOverloadsAgreeExactly)
+{
+    const Gate u3{GateKind::kU3, {3}, {0.8, -1.3, 0.6}, -1};
+    const Gate cx{GateKind::kCX, {4, 1}, {}, -1};
+    StateVector by_gate = GenericState();
+    by_gate.ApplyGate(u3);
+    by_gate.ApplyGate(cx);
+    StateVector by_matrix = GenericState();
+    by_matrix.Apply1Q(3, GateUnitary(u3));
+    by_matrix.Apply2Q(4, 1, GateUnitary(cx));
+    EXPECT_EQ(by_gate.amplitudes(), by_matrix.amplitudes());
 }
 
 TEST(StateVector, MeasureCollapsesState)
