@@ -434,10 +434,11 @@ CrosstalkCharacterizer::Run(const CharacterizationPlan& plan,
     // simultaneously in one job (which is what the cost model charges).
     // In simulation the joint dynamics factorize exactly across pairs —
     // packed pairs are >= 2 hops apart, and every noise channel in the
-    // model is local to a pair — so each pair is simulated as its own
-    // 4-qubit SRB, which is distribution-identical and exponentially
-    // cheaper than the joint statevector. All pairs of all bins fan out
-    // as one Executor batch.
+    // model is local to a pair — so each pair is its own SRB job,
+    // distribution-identical to the joint one. Its two couplers never
+    // share a gate either, so the simulator replays each coupler as a
+    // separate 2-qubit cluster (sim/noise_plan.h). All pairs of all bins
+    // fan out as one Executor batch.
     RbRunner runner(*device_, config_.rb, config_.sim, config_.exec);
     std::vector<std::vector<EdgeId>> groups;
     for (const ExperimentBin& bin : plan.batches) {

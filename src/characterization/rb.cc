@@ -92,8 +92,11 @@ RbRunner::BuildSrbSchedule(const std::vector<EdgeId>& edges,
     }
 
     // ASAP schedule; gates within a pair serialize naturally (they share
-    // qubits), gates on different pairs overlap freely.
-    ScheduledCircuit schedule(device_->num_qubits());
+    // qubits), gates on different pairs overlap freely. A stable sort by
+    // start gives the order that inserting one gate at a time would, and
+    // appending in that order keeps each Add at the end of the schedule.
+    std::vector<TimedGate> timed;
+    timed.reserve(circuit.size());
     std::vector<double> ready(device_->num_qubits(), 0.0);
     for (const Gate& g : circuit.gates()) {
         double start = 0.0;
@@ -101,10 +104,18 @@ RbRunner::BuildSrbSchedule(const std::vector<EdgeId>& edges,
             start = std::max(start, ready[q]);
         }
         const double duration = device_->GateDuration(g);
-        schedule.Add(g, start, duration);
+        timed.push_back({g, start, duration});
         for (QubitId q : g.qubits) {
             ready[q] = start + duration;
         }
+    }
+    std::stable_sort(timed.begin(), timed.end(),
+                     [](const TimedGate& a, const TimedGate& b) {
+                         return a.start_ns < b.start_ns;
+                     });
+    ScheduledCircuit schedule(device_->num_qubits());
+    for (TimedGate& tg : timed) {
+        schedule.Add(std::move(tg.gate), tg.start_ns, tg.duration_ns);
     }
 
     // Simultaneous readout (IBMQ trait): all measures at the same time.

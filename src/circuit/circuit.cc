@@ -23,7 +23,7 @@ Circuit::gate(GateId id) const
 }
 
 void
-Circuit::Validate(const Gate& gate) const
+ValidateGate(const Gate& gate, int num_qubits)
 {
     const int expected_qubits = GateKindNumQubits(gate.kind);
     if (expected_qubits >= 0) {
@@ -36,12 +36,12 @@ Circuit::Validate(const Gate& gate) const
     XTALK_REQUIRE(static_cast<int>(gate.params.size()) ==
                       GateKindNumParams(gate.kind),
                   xtalk::ToString(gate) << ": wrong parameter count");
-    std::set<QubitId> seen;
-    for (QubitId q : gate.qubits) {
-        XTALK_REQUIRE(q >= 0 && q < num_qubits_,
-                      "qubit " << q << " out of range [0, " << num_qubits_
+    for (auto it = gate.qubits.begin(); it != gate.qubits.end(); ++it) {
+        const QubitId q = *it;
+        XTALK_REQUIRE(q >= 0 && q < num_qubits,
+                      "qubit " << q << " out of range [0, " << num_qubits
                                << ")");
-        XTALK_REQUIRE(seen.insert(q).second,
+        XTALK_REQUIRE(std::find(gate.qubits.begin(), it, q) == it,
                       "duplicate qubit " << q << " in " << xtalk::ToString(gate));
     }
     if (gate.IsMeasure()) {
@@ -52,7 +52,7 @@ Circuit::Validate(const Gate& gate) const
 GateId
 Circuit::Add(Gate gate)
 {
-    Validate(gate);
+    ValidateGate(gate, num_qubits_);
     if (gate.IsMeasure()) {
         num_clbits_ = std::max(num_clbits_, gate.cbit + 1);
     }

@@ -17,6 +17,13 @@ namespace xtalk {
 /** Index of a gate within a circuit. */
 using GateId = int;
 
+/**
+ * Throw Error unless @p gate is well formed on a @p num_qubits register:
+ * its kind's qubit and parameter counts, distinct in-range qubits, and a
+ * classical bit for a measure.
+ */
+void ValidateGate(const Gate& gate, int num_qubits);
+
 /** A quantum circuit over a fixed-size qubit register. */
 class Circuit {
   public:
@@ -93,8 +100,6 @@ class Circuit {
     std::string ToString() const;
 
   private:
-    void Validate(const Gate& gate) const;
-
     int num_qubits_ = 0;
     int num_clbits_ = 0;
     std::vector<Gate> gates_;

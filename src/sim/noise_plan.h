@@ -6,6 +6,15 @@
  * per Run (compact register, crosstalk-aware gate errors, readout
  * errors, every decoherence step), and RunTrajectories replays it shot
  * by shot on either state type.
+ *
+ * The plan splits the compact register into clusters: qubits joined,
+ * directly or through other qubits, by a two-qubit op. Every noise
+ * channel of the model acts on one op's qubits, so clusters never
+ * entangle and each is replayed as its own state. An SRB job on two
+ * couplers is two 2-qubit states instead of one 4-qubit state. The
+ * random draws keep their order, so the stabilizer's histograms are
+ * exactly those of one joint state, and the state vector's differ only
+ * where rounding moves a draw across its threshold.
  */
 #ifndef XTALK_SIM_NOISE_PLAN_H
 #define XTALK_SIM_NOISE_PLAN_H
@@ -25,7 +34,8 @@ namespace xtalk {
  * Error rate of gate @p index of @p schedule: the device rate, or for a
  * two-qubit gate with @p crosstalk the max conditional rate over the
  * two-qubit gates it overlaps (the paper's constraint 7). 0 for
- * barriers and measures.
+ * barriers and measures. BuildNoisePlan finds the same rates for a
+ * whole schedule in one sweep; this per-gate form scans the schedule.
  */
 double CrosstalkAwareGateError(const Device& device,
                                const ScheduledCircuit& schedule, int index,
@@ -33,7 +43,8 @@ double CrosstalkAwareGateError(const Device& device,
 
 /** T1 decay and dephasing of one qubit over one busy or idle interval. */
 struct DecoherenceStep {
-    int qubit = 0;
+    int cluster = 0;
+    int qubit = 0;           ///< Index inside the cluster.
     bool dephases = false;   ///< T_phi is finite: draw a dephasing flip.
     double gamma = 0.0;      ///< 1 - exp(-dt / T1).
     double p_dephase = 0.0;  ///< (1 - exp(-dt / T_phi)) / 2.
@@ -41,7 +52,8 @@ struct DecoherenceStep {
 
 /** One gate or measure; its decoherence steps live in NoisePlan::steps. */
 struct PlannedOp {
-    Gate gate;                  ///< Qubits remapped to the compact register.
+    Gate gate;                  ///< Qubits remapped to indices in cluster.
+    int cluster = 0;
     double error = 0.0;         ///< Pauli-error probability after a gate.
     double readout_error = 0.0; ///< Outcome-flip probability of a measure.
     /** steps[begin, mid) come before the op, steps[mid, end) after. */
@@ -53,6 +65,9 @@ struct PlannedOp {
 /** Schedule-determined noise of one run; barriers are dropped. */
 struct NoisePlan {
     std::vector<QubitId> device_of_local;
+    /** clusters[c][k] = compact qubit of qubit k of cluster c; clusters
+     *  and their qubits come in compact order. */
+    std::vector<std::vector<int>> clusters;
     std::vector<PlannedOp> ops;
     /** unitaries[i] = GateMatrixOf(ops[i].gate), empty for a measure.
      *  Kept apart from ops so the stabilizer's loop never walks them. */
@@ -74,11 +89,10 @@ NoisePlan BuildNoisePlan(const Device& device,
                          const ScheduledCircuit& schedule,
                          const NoisySimOptions& options);
 
-/** Replay @p plan for @p shots trajectories on @p state (a StateVector
- *  or StabilizerState of plan.width() qubits), drawing from @p rng. */
+/** Replay @p plan for @p shots trajectories on one State (StateVector
+ *  or StabilizerState) per cluster, drawing from @p rng. */
 template <typename State>
-Counts RunTrajectories(const NoisePlan& plan, State& state, int shots,
-                       Rng& rng);
+Counts RunTrajectories(const NoisePlan& plan, int shots, Rng& rng);
 
 }  // namespace xtalk
 

@@ -49,24 +49,28 @@ NoisySimulator::Run(const ScheduledCircuit& schedule, const RunSpec& spec)
             .Add(static_cast<uint64_t>(plan.num_measures) *
                  static_cast<uint64_t>(shots));
     }
-    StateVector sv(plan.width());
-    return RunTrajectories(plan, sv, shots, rng_);
+    return RunTrajectories<StateVector>(plan, shots, rng_);
 }
 
 std::vector<double>
 NoisySimulator::IdealProbabilities(const ScheduledCircuit& schedule) const
 {
-    // Every noise toggle off: the plan is just the compacted ops.
+    // Every noise toggle off: the plan is just the compacted ops, which
+    // run here on one state over the whole compact register.
     const NoisePlan plan = BuildNoisePlan(
         *device_, schedule, NoisySimOptions{false, false, false, false});
     XTALK_REQUIRE(plan.width() <= 22, "bad schedule width " << plan.width());
     StateVector sv(plan.width());
-    std::vector<std::pair<int, int>> measures;  // (local qubit, cbit)
+    std::vector<std::pair<int, int>> measures;  // (compact qubit, cbit)
     for (const PlannedOp& op : plan.ops) {
-        if (op.gate.IsMeasure()) {
-            measures.push_back({op.gate.qubits[0], op.gate.cbit});
+        Gate gate = op.gate;
+        for (QubitId& q : gate.qubits) {
+            q = plan.clusters[op.cluster][q];
+        }
+        if (gate.IsMeasure()) {
+            measures.push_back({gate.qubits[0], gate.cbit});
         } else {
-            sv.ApplyGate(op.gate);
+            sv.ApplyGate(gate);
         }
     }
     std::vector<double> out(size_t{1} << plan.num_clbits, 0.0);

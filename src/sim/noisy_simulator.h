@@ -17,10 +17,11 @@
  *    error, plus decay during the readout window.
  *
  * Only the qubits the schedule touches are simulated (the register is
- * compacted), so 20-qubit devices with few active qubits stay cheap.
- * Everything the schedule fixes is derived once per Run into a
- * NoisePlan (sim/noise_plan.h), whose shot loop the StabilizerSimulator
- * shares.
+ * compacted), so 20-qubit devices with few active qubits stay cheap,
+ * and qubits that no chain of two-qubit gates connects are simulated as
+ * separate states. Everything the schedule fixes is derived once per
+ * Run into a NoisePlan (sim/noise_plan.h), whose shot loop the
+ * StabilizerSimulator shares.
  */
 #ifndef XTALK_SIM_NOISY_SIMULATOR_H
 #define XTALK_SIM_NOISY_SIMULATOR_H

@@ -48,6 +48,7 @@ StabilizerState::StabilizerState(int num_qubits)
     rows_.assign(2 * num_qubits,
                  Row{std::vector<uint64_t>(words_, 0),
                      std::vector<uint64_t>(words_, 0), false});
+    scratch_ = rows_.front();
     Reset();
 }
 
@@ -225,14 +226,13 @@ StabilizerState::ProbabilityOne(int q) const
         }
     }
     // Deterministic: accumulate destabilizer partners into scratch.
-    Row scratch{std::vector<uint64_t>(words_, 0),
-                std::vector<uint64_t>(words_, 0), false};
+    scratch_.Clear();
     for (int i = 0; i < num_qubits_; ++i) {
         if (rows_[i].GetX(q)) {
-            RowSum(scratch, rows_[i + num_qubits_]);
+            RowSum(scratch_, rows_[i + num_qubits_]);
         }
     }
-    return scratch.r ? 1.0 : 0.0;
+    return scratch_.r ? 1.0 : 0.0;
 }
 
 bool
@@ -320,8 +320,7 @@ StabilizerSimulator::Run(const ScheduledCircuit& schedule,
             .Add((plan.ops.size() - plan.num_measures) *
                  static_cast<uint64_t>(shots));
     }
-    StabilizerState state(plan.width());
-    return RunTrajectories(plan, state, shots, rng_);
+    return RunTrajectories<StabilizerState>(plan, shots, rng_);
 }
 
 }  // namespace xtalk

@@ -107,6 +107,8 @@ class StabilizerState {
     size_t words_;
     // rows_[0..n-1] destabilizers, rows_[n..2n-1] stabilizers.
     std::vector<Row> rows_;
+    /** ProbabilityOne's accumulator, allocated once with the state. */
+    mutable Row scratch_;
 };
 
 /**

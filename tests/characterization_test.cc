@@ -281,6 +281,22 @@ TEST(Characterizer, PoughkeepsieBenchSnapshotIdIsPinned)
     EXPECT_EQ(result.SnapshotId(), "edda9edbc7368073");
 }
 
+TEST(Characterizer, JohannesburgBenchSnapshotIdIsPinned)
+{
+    const CrosstalkCharacterization result =
+        CharacterizeDevice(MakeJohannesburg(), BenchRbConfig(),
+                           CharacterizationPolicy::kOneHopBinPacked, 1);
+    EXPECT_EQ(result.SnapshotId(), "99c70e0b22ceab62");
+}
+
+TEST(Characterizer, BoeblingenBenchSnapshotIdIsPinned)
+{
+    const CrosstalkCharacterization result =
+        CharacterizeDevice(MakeBoeblingen(), BenchRbConfig(),
+                           CharacterizationPolicy::kOneHopBinPacked, 1);
+    EXPECT_EQ(result.SnapshotId(), "fc18f238424f7d70");
+}
+
 TEST(CharacterizerResilience, RetriedExperimentIsBitIdenticalToFaultFree)
 {
     const Device device = MakePoughkeepsie();

@@ -24,6 +24,7 @@
 #include "faults/faults.h"
 #include "sim/density_replay.h"
 #include "sim/noisy_simulator.h"
+#include "sim/stabilizer.h"
 #include "workloads/adversarial.h"
 
 namespace xtalk {
@@ -227,6 +228,51 @@ TEST(DensityReplay, RejectsNonTerminalMeasures)
     schedule.Add(measure, 50.0, 1000.0);
     schedule.Add(x, 1050.0, 50.0);  // Gate after readout.
     EXPECT_THROW(ReplayScheduleDensity(device, schedule), Error);
+}
+
+TEST(DensityReplay, DisjointPairsAndALoneQubitMatchBothEngines)
+{
+    // Two coupled pairs that never share a gate (CX10,15 beside its
+    // high-crosstalk aggressor CX11,12) and a qubit that sees only
+    // one-qubit gates: each engine's histogram must land within the
+    // oracle's TVD bound of the exact replay.
+    const Device device = MakePoughkeepsie();
+    ScheduledCircuit schedule(device.num_qubits());
+    schedule.Add(Gate{GateKind::kH, {10}, {}, -1}, 0.0, 50.0);
+    schedule.Add(Gate{GateKind::kH, {11}, {}, -1}, 0.0, 50.0);
+    schedule.Add(Gate{GateKind::kH, {5}, {}, -1}, 0.0, 50.0);
+    for (int layer = 0; layer < 3; ++layer) {
+        const double start = 100.0 + 450.0 * layer;
+        schedule.Add(Gate{GateKind::kCX, {10, 15}, {}, -1}, start, 400.0);
+        schedule.Add(Gate{GateKind::kCX, {11, 12}, {}, -1}, start, 400.0);
+        schedule.Add(Gate{GateKind::kS, {5}, {}, -1}, start, 50.0);
+    }
+    schedule.Add(Gate{GateKind::kH, {5}, {}, -1}, 1500.0, 50.0);
+    int cbit = 0;
+    for (QubitId q : {10, 15, 11, 12, 5}) {
+        schedule.Add(Gate{GateKind::kMeasure, {q}, {}, cbit++}, 1600.0,
+                     1000.0);
+    }
+
+    const DensityReplayResult exact = ReplayScheduleDensity(device, schedule);
+    size_t support = 0;
+    for (double p : exact.probabilities) {
+        support += p > 1e-9 ? 1 : 0;
+    }
+    const difftest::OracleOptions oracle;
+    const int shots = 4096;
+    const double bound =
+        oracle.base_tvd +
+        std::sqrt(static_cast<double>(std::max<size_t>(support, 2)) / shots);
+    const Counts sv = NoisySimulator(device).Run(schedule, RunSpec(shots, 31));
+    const Counts stab =
+        StabilizerSimulator(device).Run(schedule, RunSpec(shots, 32));
+    EXPECT_LT(TotalVariationDistance(sv.ToProbabilities(),
+                                     exact.probabilities),
+              bound);
+    EXPECT_LT(TotalVariationDistance(stab.ToProbabilities(),
+                                     exact.probabilities),
+              bound + oracle.stabilizer_margin);
 }
 
 // ---------------------------------------------------------------------

@@ -19,6 +19,7 @@
 #include "device/ibmq_devices.h"
 #include "sim/counts.h"
 #include "sim/gate_matrices.h"
+#include "sim/noise_plan.h"
 #include "sim/noisy_simulator.h"
 #include "sim/stabilizer.h"
 #include "sim/statevector.h"
@@ -559,6 +560,117 @@ TEST(NoisySimulator, RejectsClassicalBitsBeyondCountsWidth)
     EXPECT_THROW(sim.Run(schedule, RunSpec{8}), Error);
     EXPECT_THROW(stabilizer.Run(schedule, RunSpec{8}), Error);
     EXPECT_THROW(sim.IdealProbabilities(schedule), Error);
+}
+
+/**
+ * Poughkeepsie Clifford schedule with two coupled pairs, CX0,1 and
+ * CX2,3, that a late CX1,2 joins into one four-qubit register; qubit 3
+ * is measured mid-circuit before the join.
+ */
+ScheduledCircuit
+LateJoinSchedule()
+{
+    ScheduledCircuit s(20);
+    s.Add(Gate{GateKind::kH, {0}, {}, -1}, 0.0, 50.0);
+    s.Add(Gate{GateKind::kH, {2}, {}, -1}, 0.0, 50.0);
+    s.Add(Gate{GateKind::kCX, {0, 1}, {}, -1}, 100.0, 400.0);
+    s.Add(Gate{GateKind::kCX, {2, 3}, {}, -1}, 100.0, 400.0);
+    s.Add(Gate{GateKind::kMeasure, {3}, {}, 4}, 500.0, 1000.0);
+    s.Add(Gate{GateKind::kS, {1}, {}, -1}, 500.0, 50.0);
+    s.Add(Gate{GateKind::kH, {1}, {}, -1}, 600.0, 50.0);
+    s.Add(Gate{GateKind::kCX, {1, 2}, {}, -1}, 1600.0, 400.0);
+    for (QubitId q = 0; q < 4; ++q) {
+        s.Add(Gate{GateKind::kMeasure, {q}, {}, q}, 2000.0, 1000.0);
+    }
+    return s;
+}
+
+TEST(NoisySimulator, PairsJoinedByOneLateCxReplayAsOneRegister)
+{
+    // Exact 200-shot histograms for seed 7 on both engines: one
+    // two-qubit op anywhere in the schedule puts both pairs on one
+    // register, so the random stream is the one a single state draws.
+    const std::map<uint64_t, int> expected_sv =
+        {{0, 28}, {1, 10}, {2, 2}, {3, 4}, {4, 3}, {5, 6}, {6, 20}, {7, 18},
+         {9, 3}, {10, 3}, {11, 1}, {13, 3}, {14, 2}, {15, 1}, {17, 1},
+         {18, 1}, {19, 1}, {20, 3}, {21, 1}, {22, 1}, {24, 1}, {25, 3},
+         {26, 23}, {27, 15}, {28, 16}, {29, 23}, {30, 2}, {31, 5}};
+    const std::map<uint64_t, int> expected_stab =
+        {{0, 22}, {1, 19}, {2, 4}, {3, 4}, {4, 4}, {5, 3}, {6, 17}, {7, 17},
+         {10, 2}, {11, 1}, {13, 2}, {14, 1}, {15, 1}, {16, 1}, {17, 1},
+         {19, 1}, {20, 3}, {21, 2}, {22, 1}, {24, 7}, {25, 7}, {26, 18},
+         {27, 20}, {28, 20}, {29, 12}, {30, 6}, {31, 4}};
+    const Device device = MakePoughkeepsie();
+    const ScheduledCircuit schedule = LateJoinSchedule();
+    for (const auto& [a, b] : {std::pair{0, 1}, {2, 3}, {1, 2}}) {
+        ASSERT_GE(device.topology().FindEdge(a, b), 0);
+    }
+    NoisySimOptions options;
+    options.seed = 7;
+    const Counts sv = NoisySimulator(device, options).Run(schedule, RunSpec{200});
+    const Counts stab =
+        StabilizerSimulator(device, options).Run(schedule, RunSpec{200});
+    EXPECT_EQ(sv.histogram(), expected_sv) << HistogramLiteral(sv);
+    EXPECT_EQ(stab.histogram(), expected_stab) << HistogramLiteral(stab);
+}
+
+TEST(NoisePlan, GateErrorsMatchCrosstalkAwareGateErrorOnRandomSchedules)
+{
+    // Random schedules with overlapping, abutting and zero-length gates,
+    // barriers and measures: each planned op's error must be exactly the
+    // per-gate rate, with crosstalk on and off.
+    for (const Device& device :
+         {MakePoughkeepsie(), MakeJohannesburg(), MakeBoeblingen()}) {
+        const Topology& topo = device.topology();
+        for (uint64_t seed = 1; seed <= 20; ++seed) {
+            Rng rng(seed);
+            ScheduledCircuit schedule(device.num_qubits());
+            for (int g = 0; g < 60; ++g) {
+                const double start = 50.0 * rng.UniformInt(40);
+                const double duration = 50.0 * rng.UniformInt(9);
+                const QubitId q =
+                    static_cast<QubitId>(rng.UniformInt(device.num_qubits()));
+                switch (rng.UniformInt(5)) {
+                  case 0:
+                    schedule.Add(Gate{GateKind::kH, {q}, {}, -1}, start,
+                                 duration);
+                    break;
+                  case 1:
+                    schedule.Add(Gate{GateKind::kMeasure, {q}, {}, g % 8},
+                                 start, duration);
+                    break;
+                  case 2:
+                    schedule.Add(Gate{GateKind::kBarrier, {q}, {}, -1}, start,
+                                 0.0);
+                    break;
+                  default: {
+                    const Edge& e = topo.edge(static_cast<EdgeId>(
+                        rng.UniformInt(topo.num_edges())));
+                    schedule.Add(Gate{GateKind::kCX, {e.a, e.b}, {}, -1},
+                                 start, duration);
+                  }
+                }
+            }
+            for (bool crosstalk : {true, false}) {
+                NoisySimOptions options;
+                options.crosstalk = crosstalk;
+                const NoisePlan plan =
+                    BuildNoisePlan(device, schedule, options);
+                size_t op = 0;
+                for (int i = 0; i < schedule.size(); ++i) {
+                    if (schedule.gates()[i].gate.IsBarrier()) {
+                        continue;
+                    }
+                    ASSERT_LT(op, plan.ops.size());
+                    EXPECT_EQ(plan.ops[op++].error,
+                              CrosstalkAwareGateError(device, schedule, i,
+                                                      crosstalk))
+                        << device.name() << " seed " << seed << " gate " << i;
+                }
+                EXPECT_EQ(op, plan.ops.size());
+            }
+        }
+    }
 }
 
 }  // namespace
