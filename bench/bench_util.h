@@ -175,9 +175,9 @@ BudgetScale()
 
 /**
  * The harness RB budget, scaled. Benches run RB on the stabilizer (CHP)
- * backend — ~5x faster than the state vector and statistically
- * equivalent (tested) — which affords twice the sequence count of the
- * interactive default.
+ * backend — statistically equivalent to the state vector (tested) and
+ * about 1.35x faster on a two-coupler SRB schedule (docs/TUTORIAL.md
+ * §3) — with twice the sequence count of the interactive default.
  */
 inline RbConfig
 ScaledRbConfig(uint64_t seed)

@@ -40,8 +40,9 @@ struct RbConfig {
     /**
      * Execute RB circuits on the stabilizer (CHP) backend instead of the
      * state vector: exact for the Clifford gates and Pauli gate noise,
-     * Pauli-twirled for decoherence, and much faster — enables
-     * paper-scale budgets (see sim/stabilizer.h).
+     * Pauli-twirled for decoherence, and about 1.35x faster on a
+     * two-coupler SRB schedule (measured in docs/TUTORIAL.md §3; see
+     * sim/stabilizer.h).
      */
     bool use_stabilizer_backend = false;
     uint64_t seed = 2020;

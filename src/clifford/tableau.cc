@@ -1,5 +1,6 @@
 #include "clifford/tableau.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "common/error.h"
@@ -28,6 +29,14 @@ TableauRow::SetZ(int q, bool v)
     }
 }
 
+void
+TableauRow::Clear()
+{
+    std::fill(x.begin(), x.end(), 0);
+    std::fill(z.begin(), z.end(), 0);
+    r = false;
+}
+
 Tableau::Tableau(int num_qubits) : num_qubits_(num_qubits)
 {
     XTALK_REQUIRE(num_qubits > 0, "tableau needs at least one qubit");
@@ -35,9 +44,18 @@ Tableau::Tableau(int num_qubits) : num_qubits_(num_qubits)
     rows_.assign(2 * num_qubits, TableauRow{std::vector<uint64_t>(words, 0),
                                             std::vector<uint64_t>(words, 0),
                                             false});
-    for (int i = 0; i < num_qubits; ++i) {
+    Reset();
+}
+
+void
+Tableau::Reset()
+{
+    for (auto& row : rows_) {
+        row.Clear();
+    }
+    for (int i = 0; i < num_qubits_; ++i) {
         rows_[i].SetX(i, true);                  // Destabilizer i = +X_i.
-        rows_[num_qubits + i].SetZ(i, true);     // Stabilizer i = +Z_i.
+        rows_[num_qubits_ + i].SetZ(i, true);    // Stabilizer i = +Z_i.
     }
 }
 

@@ -32,6 +32,8 @@ struct TableauRow {
     bool GetZ(int q) const { return (z[q / 64] >> (q % 64)) & 1; }
     void SetX(int q, bool v);
     void SetZ(int q, bool v);
+    /** Set every bit and the sign to zero (the identity, +I). */
+    void Clear();
 };
 
 /** n-qubit Clifford tableau (unitary part only; no measurement). */
@@ -44,6 +46,9 @@ class Tableau {
     static Tableau FromCircuit(const Circuit& circuit);
 
     int num_qubits() const { return num_qubits_; }
+
+    /** Return to the identity tableau. */
+    void Reset();
 
     /** Destabilizer row i (image of X_i). */
     const TableauRow& destabilizer(int i) const { return rows_[i]; }
@@ -100,10 +105,12 @@ class Tableau {
     /** Multi-line debug rendering ("+XZI" style rows). */
     std::string ToString() const;
 
-  private:
+  protected:
     int num_qubits_;
+    /** rows_[0..n-1] destabilizers, rows_[n..2n-1] stabilizers. */
     std::vector<TableauRow> rows_;
 
+  private:
     /** Reduce a copy of the tableau to identity, recording gates. */
     static void ReduceToIdentity(Tableau& t, Circuit* out);
 };

@@ -44,7 +44,8 @@ namespace xtalk::runtime {
 /** Which trajectory engine executes a job. */
 enum class SimBackend {
     kStatevector,  ///< NoisySimulator (any gate set).
-    kStabilizer,   ///< StabilizerSimulator (Clifford-only, much faster).
+    kStabilizer,   ///< StabilizerSimulator (Clifford-only; ~1.35x
+                   ///< faster on SRB, docs/TUTORIAL.md §3).
 };
 
 /** One independent circuit execution within a batch. */

@@ -27,19 +27,25 @@ struct OmegaSelection {
     ScheduleErrorEstimate estimate;
     /** (omega, modeled success) for every candidate, in sweep order. */
     std::vector<std::pair<double, double>> sweep;
+    /** The winner's solver start times, indexed by GateId. */
+    std::vector<double> start_ns;
+    /** The winner's serialization-candidate pairs (barrier inserter). */
+    std::vector<std::pair<GateId, GateId>> candidate_pairs;
 };
 
 /**
  * Solve the schedule for each candidate omega and pick the one with the
- * highest modeled success probability. @p base supplies every other
- * scheduler option.
+ * highest modeled success probability (the first, on ties). @p base
+ * supplies every other scheduler option; @p cancel (may be null) cuts
+ * the sweep short as in XtalkScheduler::ScheduleForOmegas.
  */
 OmegaSelection SelectOmegaByModel(
     const Device& device, const CrosstalkCharacterization& characterization,
     const Circuit& circuit,
     const std::vector<double>& candidates = {0.0, 0.05, 0.1, 0.2, 0.35,
                                              0.5, 0.75, 1.0},
-    const XtalkSchedulerOptions& base = {});
+    const XtalkSchedulerOptions& base = {},
+    const runtime::CancelToken* cancel = nullptr);
 
 /**
  * Empirical variant of SelectOmegaByModel: solve the schedule for each

@@ -8,6 +8,7 @@
 #include "common/error.h"
 #include "common/logging.h"
 #include "faults/faults.h"
+#include "scheduler/omega_tuning.h"
 #include "scheduler/scheduler.h"
 #include "telemetry/journal.h"
 #include "telemetry/telemetry.h"
@@ -248,32 +249,18 @@ class AutoOmegaMember : public PortfolioMember {
         XtalkSchedulerOptions options = options_;
         options.total_budget_ms =
             MinBudget(options.total_budget_ms, ctx.budget_ms);
-        XtalkScheduler scheduler(*ctx.device, characterization, options);
-        const std::vector<OmegaSolveResult> solved =
-            scheduler.ScheduleForOmegas(circuit, candidates_, ctx.cancel);
+        OmegaSelection best =
+            SelectOmegaByModel(*ctx.device, characterization, circuit,
+                               candidates_, options, ctx.cancel);
         ScheduleCandidate candidate;
         candidate.member = key();
         candidate.scheduler_name = display_name();
-        int best = -1;
-        double best_success = 0.0;
-        std::vector<ScheduleErrorEstimate> estimates;
-        estimates.reserve(solved.size());
-        for (size_t i = 0; i < solved.size(); ++i) {
-            estimates.push_back(EstimateScheduleError(
-                solved[i].schedule, *ctx.device, &characterization));
-            candidate.sweep.push_back(
-                {solved[i].omega, estimates.back().success_probability});
-            if (best < 0 ||
-                estimates.back().success_probability > best_success) {
-                best = static_cast<int>(i);
-                best_success = estimates.back().success_probability;
-            }
-        }
-        candidate.schedule = solved[best].schedule;
-        candidate.estimate = estimates[best];
-        candidate.omega = solved[best].omega;
-        candidate.start_ns = solved[best].start_ns;
-        candidate.candidate_pairs = solved[best].candidate_pairs;
+        candidate.schedule = std::move(best.schedule);
+        candidate.estimate = best.estimate;
+        candidate.omega = best.omega;
+        candidate.start_ns = std::move(best.start_ns);
+        candidate.candidate_pairs = std::move(best.candidate_pairs);
+        candidate.sweep = std::move(best.sweep);
         return candidate;
     }
 

@@ -41,13 +41,26 @@ NumeralToDouble(const z3::expr& e)
     return std::stod(s);
 }
 
+/** The solver's time resolution: 100 ticks per ns (0.01 ns). */
+constexpr int64_t kTicksPerNs = 100;
+
 /** Exact real constant for a duration/time in ns (0.01 ns resolution). */
 z3::expr
 RealOf(z3::context& ctx, double value)
 {
-    const long long scaled = std::llround(value * 100.0);
-    return ctx.real_val(static_cast<int64_t>(scaled),
-                        static_cast<int64_t>(100));
+    const int64_t ticks = std::llround(value * kTicksPerNs);
+    return ctx.real_val(ticks, kTicksPerNs);
+}
+
+/**
+ * Duration of @p gate quantized to the solver's resolution, so emitted
+ * schedules and barrier decisions match the constraint system exactly.
+ */
+double
+SolverDuration(const Device& device, const Gate& gate)
+{
+    return std::llround(device.GateDuration(gate) * kTicksPerNs) /
+           static_cast<double>(kTicksPerNs);
 }
 
 double
@@ -71,24 +84,31 @@ struct CircuitFacts {
 };
 
 /**
- * Incremental solver session for the default lower-bound encoding.
+ * One SMT solver session: the Z3 context plus the encoding of one
+ * circuit.
  *
  * The round-invariant part of the problem — start-time variables,
  * dependency and readout constraints, one logeps per eligible gate with
  * its independent-error lower bound, and both objective sums — is
- * asserted exactly once. Lazy refinement only ever ADDS overlap
- * indicators, no-partial-overlap constraints, and conditional-error
- * implications, so rounds re-check() the same context instead of
- * rebuilding it. ω candidates swap objectives under push/pop scopes;
- * pair constraints learned inside a scope are re-asserted permanently
- * for the next candidate via the caller's `encoded` bookkeeping.
+ * asserted at construction. Constraints 7-8 come in one of two
+ * encodings over the same overlap indicators:
+ *
+ *  - lower bound (default, AssertPending): per pair, o_ij implies each
+ *    gate's logeps is at least its conditional error. Lazy refinement
+ *    only ever ADDS pairs, so rounds re-check() the same session. ω
+ *    candidates swap objectives under push/pop scopes; pair constraints
+ *    learned inside a scope are re-asserted permanently for the next
+ *    candidate via the caller's `encoded` bookkeeping;
+ *  - the paper's powerset (AssertPowerset): logeps equals the worst
+ *    rate of each overlap subset of the gate's capped candidates. It is
+ *    not monotone under refinement, so each round builds a new session.
  */
-class WarmSession {
+class SolverSession {
   public:
-    WarmSession(const Device& device,
-                const CrosstalkCharacterization& characterization,
-                const Circuit& circuit, const DependencyDag& dag,
-                const CircuitFacts& facts)
+    SolverSession(const Device& device,
+                  const CrosstalkCharacterization& characterization,
+                  const Circuit& circuit, const DependencyDag& dag,
+                  const CircuitFacts& facts)
         : device_(&device),
           characterization_(&characterization),
           facts_(&facts),
@@ -121,14 +141,7 @@ class WarmSession {
         for (GateId g : facts.eligible_gates) {
             z3::expr logeps =
                 ctx_.real_const(("logeps" + std::to_string(g)).c_str());
-            const double independent = [&] {
-                const EdgeId e = facts.edge_of[g];
-                if (characterization.HasIndependentError(e)) {
-                    return characterization.IndependentError(e);
-                }
-                return device.CxError(e);
-            }();
-            Add(logeps >= RealOf(ctx_, LogOf(independent)));
+            Add(logeps >= RealOf(ctx_, LogOf(Independent(g))));
             gate_error_sum = gate_error_sum + logeps;
             logeps_.emplace(g, logeps);
         }
@@ -170,8 +183,59 @@ class WarmSession {
             if (permanent_.count(pair) || scoped_.count(pair)) {
                 continue;
             }
-            AssertPair(pair);
+            const z3::expr o = Overlap(pair);
+            const auto [i, j] = pair;
+            Add(z3::implies(o, logeps_.at(i) >=
+                                   RealOf(ctx_, LogOf(Conditional(i, j)))));
+            Add(z3::implies(o, logeps_.at(j) >=
+                                   RealOf(ctx_, LogOf(Conditional(j, i)))));
             (scope_depth_ > 0 ? scoped_ : permanent_).insert(pair);
+        }
+    }
+
+    /**
+     * The paper's encoding of constraints 7-8 for @p pairs: for every
+     * overlap subset of each gate's candidates (the worst
+     * @p max_overlap_candidates by conditional error), logeps equals
+     * the worst rate in it — exact, but exponential in the cap.
+     */
+    void
+    AssertPowerset(const std::vector<GatePairKey>& pairs,
+                   int max_overlap_candidates)
+    {
+        std::map<GatePairKey, z3::expr> overlap;
+        std::map<GateId, std::vector<GateId>> can_olp;
+        for (const GatePairKey& pair : pairs) {
+            overlap.emplace(pair, Overlap(pair));
+            can_olp[pair.first].push_back(pair.second);
+            can_olp[pair.second].push_back(pair.first);
+        }
+        for (auto& [i, cands] : can_olp) {
+            if (static_cast<int>(cands.size()) > max_overlap_candidates) {
+                std::sort(cands.begin(), cands.end(),
+                          [&, i = i](GateId a, GateId b) {
+                              return Conditional(i, a) > Conditional(i, b);
+                          });
+                cands.resize(max_overlap_candidates);
+                std::sort(cands.begin(), cands.end());
+            }
+            const size_t subsets = size_t{1} << cands.size();
+            for (size_t mask = 0; mask < subsets; ++mask) {
+                z3::expr cond = ctx_.bool_val(true);
+                double worst = Independent(i);
+                for (size_t b = 0; b < cands.size(); ++b) {
+                    const GateId j = cands[b];
+                    const z3::expr& o = overlap.at(std::minmax(i, j));
+                    if (mask & (size_t{1} << b)) {
+                        cond = cond && o;
+                        worst = std::max(worst, Conditional(i, j));
+                    } else {
+                        cond = cond && !o;
+                    }
+                }
+                Add(z3::implies(cond, logeps_.at(i) ==
+                                          RealOf(ctx_, LogOf(worst))));
+            }
         }
     }
 
@@ -242,8 +306,14 @@ class WarmSession {
         ++num_constraints_;
     }
 
-    void
-    AssertPair(const GatePairKey& pair)
+    /**
+     * Define the overlap indicator o_ij of @p pair (constraint 2; strict
+     * interval overlap, so abutting gates count as serialized, matching
+     * the simulator) and, on devices that need it, forbid partial
+     * overlap (constraints 11-13). Returns o_ij.
+     */
+    z3::expr
+    Overlap(const GatePairKey& pair)
     {
         const auto [i, j] = pair;
         const z3::expr di = RealOf(ctx_, facts_->duration[i]);
@@ -256,14 +326,26 @@ class WarmSession {
                 ((tau_[i] >= tau_[j]) && (tau_[i] + di <= tau_[j] + dj)) ||
                 ((tau_[j] >= tau_[i]) && (tau_[j] + dj <= tau_[i] + di)));
         }
-        const auto conditional = [&](GateId victim, GateId aggressor) {
-            return characterization_->ConditionalError(
-                facts_->edge_of[victim], facts_->edge_of[aggressor]);
-        };
-        Add(z3::implies(o, logeps_.at(i) >=
-                               RealOf(ctx_, LogOf(conditional(i, j)))));
-        Add(z3::implies(o, logeps_.at(j) >=
-                               RealOf(ctx_, LogOf(conditional(j, i)))));
+        return o;
+    }
+
+    /** Independent error of two-qubit gate @p g. */
+    double
+    Independent(GateId g) const
+    {
+        const EdgeId e = facts_->edge_of[g];
+        if (characterization_->HasIndependentError(e)) {
+            return characterization_->IndependentError(e);
+        }
+        return device_->CxError(e);
+    }
+
+    /** Conditional error of gate @p victim beside @p aggressor. */
+    double
+    Conditional(GateId victim, GateId aggressor) const
+    {
+        return characterization_->ConditionalError(
+            facts_->edge_of[victim], facts_->edge_of[aggressor]);
     }
 
     const Device* device_;
@@ -313,185 +395,6 @@ XtalkScheduler::Schedule(const Circuit& circuit,
     return std::move(results.front().schedule);
 }
 
-/**
- * One from-scratch solver round of the paper's powerset encoding, whose
- * constraints are not monotone under refinement. On sat fills
- * @p starts.
- */
-namespace {
-
-z3::check_result
-ColdSolveRound(const Device& device,
-               const CrosstalkCharacterization& characterization,
-               const Circuit& circuit, const DependencyDag& dag,
-               const CircuitFacts& facts,
-               const std::vector<GatePairKey>& pairs, double omega,
-               double decoherence_weight,
-               const XtalkSchedulerOptions& options, unsigned timeout_ms,
-               std::vector<double>* starts, long long* num_constraints,
-               int* gates_with_candidates)
-{
-    const int n = facts.n;
-    std::vector<std::vector<GateId>> can_olp(n);
-    for (const auto& [i, j] : pairs) {
-        can_olp[i].push_back(j);
-        can_olp[j].push_back(i);
-    }
-    // Bound the powerset encoding: keep the worst offenders per gate.
-    for (GateId i = 0; i < n; ++i) {
-        auto& cands = can_olp[i];
-        if (static_cast<int>(cands.size()) > options.max_overlap_candidates) {
-            std::sort(cands.begin(), cands.end(), [&](GateId a, GateId b) {
-                return characterization.ConditionalError(facts.edge_of[i],
-                                                         facts.edge_of[a]) >
-                       characterization.ConditionalError(facts.edge_of[i],
-                                                         facts.edge_of[b]);
-            });
-            cands.resize(options.max_overlap_candidates);
-            std::sort(cands.begin(), cands.end());
-        }
-    }
-
-    z3::context ctx;
-    z3::optimize opt(ctx);
-    z3::params params(ctx);
-    params.set("timeout", timeout_ms);
-    opt.set(params);
-
-    auto add = [&](const z3::expr& constraint) {
-        opt.add(constraint);
-        ++*num_constraints;
-    };
-
-    auto independent_error = [&](EdgeId e) {
-        if (characterization.HasIndependentError(e)) {
-            return characterization.IndependentError(e);
-        }
-        return device.CxError(e);
-    };
-
-    // Start-time variables and dependency constraints (constraint 1).
-    std::vector<z3::expr> tau;
-    tau.reserve(n);
-    for (GateId g = 0; g < n; ++g) {
-        tau.push_back(ctx.real_const(("tau" + std::to_string(g)).c_str()));
-        add(tau[g] >= 0);
-    }
-    for (GateId g = 0; g < n; ++g) {
-        for (GateId p : dag.Predecessors(g)) {
-            add(tau[g] >= tau[p] + RealOf(ctx, facts.duration[p]));
-        }
-    }
-
-    // Simultaneous readout (IBMQ trait).
-    if (device.traits().simultaneous_readout && facts.measures.size() > 1) {
-        for (size_t k = 1; k < facts.measures.size(); ++k) {
-            add(tau[facts.measures[k]] == tau[facts.measures[0]]);
-        }
-    }
-
-    // Overlap indicators (constraint 2; strict interval overlap so that
-    // abutting gates count as serialized, matching the simulator).
-    std::map<GatePairKey, z3::expr> overlap;
-    for (const auto& [i, j] : pairs) {
-        z3::expr o = ctx.bool_const(
-            ("o_" + std::to_string(i) + "_" + std::to_string(j)).c_str());
-        add(o == ((tau[j] < tau[i] + RealOf(ctx, facts.duration[i])) &&
-                  (tau[i] < tau[j] + RealOf(ctx, facts.duration[j]))));
-        overlap.emplace(std::make_pair(i, j), o);
-    }
-    auto overlap_var = [&](GateId i, GateId j) {
-        const auto key = std::minmax(i, j);
-        return overlap.at({key.first, key.second});
-    };
-
-    // No-partial-overlap (constraints 11-13) between candidate pairs.
-    if (device.traits().no_partial_overlap) {
-        for (const auto& [i, j] : pairs) {
-            const z3::expr di = RealOf(ctx, facts.duration[i]);
-            const z3::expr dj = RealOf(ctx, facts.duration[j]);
-            add((tau[i] + di <= tau[j]) || (tau[j] + dj <= tau[i]) ||
-                ((tau[i] >= tau[j]) && (tau[i] + di <= tau[j] + dj)) ||
-                ((tau[j] >= tau[i]) && (tau[j] + dj <= tau[i] + di)));
-        }
-    }
-
-    // Gate-error terms: g.eps = max conditional error over overlapping
-    // aggressors, independent rate otherwise (constraints 7-8), over the
-    // powerset of CanOlp(g): exact by construction but exponential in
-    // |CanOlp| (capped).
-    z3::expr gate_error_sum = ctx.real_val(0);
-    for (GateId i = 0; i < n; ++i) {
-        const auto& cands = can_olp[i];
-        if (cands.empty()) {
-            continue;
-        }
-        ++*gates_with_candidates;
-        z3::expr logeps =
-            ctx.real_const(("logeps" + std::to_string(i)).c_str());
-        const size_t subsets = size_t{1} << cands.size();
-        for (size_t mask = 0; mask < subsets; ++mask) {
-            z3::expr cond = ctx.bool_val(true);
-            double worst = independent_error(facts.edge_of[i]);
-            for (size_t b = 0; b < cands.size(); ++b) {
-                const GateId j = cands[b];
-                if (mask & (size_t{1} << b)) {
-                    cond = cond && overlap_var(i, j);
-                    worst = std::max(
-                        worst, characterization.ConditionalError(
-                                   facts.edge_of[i], facts.edge_of[j]));
-                } else {
-                    cond = cond && !overlap_var(i, j);
-                }
-            }
-            add(z3::implies(cond, logeps == RealOf(ctx, LogOf(worst))));
-        }
-        gate_error_sum = gate_error_sum + logeps;
-    }
-
-    // Decoherence terms (constraints 9-10): first/last gate per qubit
-    // are fixed by program order, so the lifetime is linear in tau.
-    z3::expr decoherence_sum = ctx.real_val(0);
-    for (QubitId q = 0; q < circuit.num_qubits(); ++q) {
-        GateId first = -1, last = -1;
-        for (GateId g = 0; g < n; ++g) {
-            if (circuit.gate(g).IsBarrier()) {
-                continue;
-            }
-            for (QubitId gq : circuit.gate(g).qubits) {
-                if (gq == q) {
-                    if (first < 0) {
-                        first = g;
-                    }
-                    last = g;
-                }
-            }
-        }
-        if (first < 0) {
-            continue;
-        }
-        const z3::expr lifetime =
-            tau[last] + RealOf(ctx, facts.duration[last]) - tau[first];
-        decoherence_sum =
-            decoherence_sum +
-            lifetime / RealOf(ctx, device.CoherenceTimeNs(q));
-    }
-
-    opt.minimize(RealOf(ctx, omega) * gate_error_sum +
-                 RealOf(ctx, decoherence_weight) * decoherence_sum);
-
-    const z3::check_result result = opt.check();
-    if (result == z3::sat) {
-        z3::model model = opt.get_model();
-        for (GateId g = 0; g < n; ++g) {
-            (*starts)[g] = NumeralToDouble(model.eval(tau[g], true));
-        }
-    }
-    return result;
-}
-
-}  // namespace
-
 std::vector<OmegaSolveResult>
 XtalkScheduler::ScheduleForOmegas(const Circuit& circuit,
                                   const std::vector<double>& omegas,
@@ -509,12 +412,8 @@ XtalkScheduler::ScheduleForOmegas(const Circuit& circuit,
     facts.edge_of.assign(n, -1);
     for (GateId g = 0; g < n; ++g) {
         const Gate& gate = circuit.gate(g);
-        // Quantize to the solver's 0.01 ns resolution so the emitted
-        // schedule matches the constraint system exactly.
         facts.duration[g] =
-            gate.IsBarrier()
-                ? 0.0
-                : std::llround(device_->GateDuration(gate) * 100.0) / 100.0;
+            gate.IsBarrier() ? 0.0 : SolverDuration(*device_, gate);
         if (gate.IsTwoQubitUnitary()) {
             facts.edge_of[g] =
                 device_->topology().FindEdge(gate.qubits[0], gate.qubits[1]);
@@ -570,12 +469,17 @@ XtalkScheduler::ScheduleForOmegas(const Circuit& circuit,
     }
 
     stats_ = {};
+    // The lower-bound encoding keeps one warm session for the whole
+    // sweep; the powerset encoding builds a fresh one every round.
     const bool warm = !options_.use_powerset_encoding;
-    std::unique_ptr<WarmSession> session;
-    if (warm) {
-        session = std::make_unique<WarmSession>(
+    std::unique_ptr<SolverSession> session;
+    const auto build_session = [&] {
+        session = std::make_unique<SolverSession>(
             *device_, *characterization_, circuit, dag, facts);
-        stats_.solver_builds = 1;
+        ++stats_.solver_builds;
+    };
+    if (warm) {
+        build_session();
     }
     const bool multi = omegas.size() > 1;
     const auto budget_state = [&](bool have_model, bool have_results) {
@@ -688,24 +592,22 @@ XtalkScheduler::ScheduleForOmegas(const Circuit& circuit,
                     telemetry::ScopedSpan solve_span("sched.xtalk.solve");
                     if (warm) {
                         session->AssertPending(encoded);
-                        session->SetTimeout(effective_timeout_ms);
-                        result = session->Check(&starts);
-                        round_constraints = session->TakeNewConstraints();
-                        for (GateId g : facts.eligible_gates) {
-                            for (const auto& [i, j] : round_pairs) {
-                                if (i == g || j == g) {
-                                    ++gates_with_candidates;
-                                    break;
-                                }
+                    } else {
+                        build_session();
+                        session->AssertPowerset(
+                            round_pairs, options_.max_overlap_candidates);
+                        session->Minimize(omega, decoherence_weight);
+                    }
+                    session->SetTimeout(effective_timeout_ms);
+                    result = session->Check(&starts);
+                    round_constraints = session->TakeNewConstraints();
+                    for (GateId g : facts.eligible_gates) {
+                        for (const auto& [i, j] : round_pairs) {
+                            if (i == g || j == g) {
+                                ++gates_with_candidates;
+                                break;
                             }
                         }
-                    } else {
-                        ++stats_.solver_builds;
-                        result = ColdSolveRound(
-                            *device_, *characterization_, circuit, dag,
-                            facts, round_pairs, omega, decoherence_weight,
-                            options_, effective_timeout_ms, &starts,
-                            &round_constraints, &gates_with_candidates);
                     }
                 }
                 stats_.gates_with_candidates = gates_with_candidates;
@@ -908,12 +810,8 @@ InsertOrderingBarriersForCircuit(
     // right before the later gate, covering both gates' qubits.
     std::map<int, std::set<QubitId>> barrier_before;
     for (const auto& [i, j] : candidate_pairs) {
-        const double di =
-            std::llround(device.GateDuration(circuit.gate(i)) * 100.0) /
-            100.0;
-        const double dj =
-            std::llround(device.GateDuration(circuit.gate(j)) * 100.0) /
-            100.0;
+        const double di = SolverDuration(device, circuit.gate(i));
+        const double dj = SolverDuration(device, circuit.gate(j));
         const bool overlapping = start_ns[j] < start_ns[i] + di - 1e-9 &&
                                  start_ns[i] < start_ns[j] + dj - 1e-9;
         if (overlapping) {

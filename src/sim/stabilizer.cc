@@ -1,6 +1,5 @@
 #include "sim/stabilizer.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/error.h"
@@ -10,185 +9,14 @@
 
 namespace xtalk {
 
-void
-StabilizerState::Row::SetX(int q, bool v)
-{
-    const uint64_t mask = 1ull << (q % 64);
-    if (v) {
-        x[q / 64] |= mask;
-    } else {
-        x[q / 64] &= ~mask;
-    }
-}
-
-void
-StabilizerState::Row::SetZ(int q, bool v)
-{
-    const uint64_t mask = 1ull << (q % 64);
-    if (v) {
-        z[q / 64] |= mask;
-    } else {
-        z[q / 64] &= ~mask;
-    }
-}
-
-void
-StabilizerState::Row::Clear()
-{
-    std::fill(x.begin(), x.end(), 0);
-    std::fill(z.begin(), z.end(), 0);
-    r = false;
-}
-
 StabilizerState::StabilizerState(int num_qubits)
-    : num_qubits_(num_qubits),
-      words_((static_cast<size_t>(num_qubits) + 63) / 64)
+    : Tableau(num_qubits), scratch_(rows_.front())
 {
-    XTALK_REQUIRE(num_qubits > 0, "stabilizer state needs >= 1 qubit");
-    rows_.assign(2 * num_qubits,
-                 Row{std::vector<uint64_t>(words_, 0),
-                     std::vector<uint64_t>(words_, 0), false});
-    scratch_ = rows_.front();
-    Reset();
 }
 
 void
-StabilizerState::Reset()
-{
-    for (auto& row : rows_) {
-        row.Clear();
-    }
-    for (int i = 0; i < num_qubits_; ++i) {
-        rows_[i].SetX(i, true);                 // Destabilizer X_i.
-        rows_[num_qubits_ + i].SetZ(i, true);   // Stabilizer Z_i.
-    }
-}
-
-void
-StabilizerState::ApplyH(int q)
-{
-    for (auto& row : rows_) {
-        const bool x = row.GetX(q);
-        const bool z = row.GetZ(q);
-        row.r ^= x && z;
-        row.SetX(q, z);
-        row.SetZ(q, x);
-    }
-}
-
-void
-StabilizerState::ApplyS(int q)
-{
-    for (auto& row : rows_) {
-        const bool x = row.GetX(q);
-        const bool z = row.GetZ(q);
-        row.r ^= x && z;
-        row.SetZ(q, x != z);
-    }
-}
-
-void
-StabilizerState::ApplySdg(int q)
-{
-    ApplyS(q);
-    ApplyS(q);
-    ApplyS(q);
-}
-
-void
-StabilizerState::ApplyX(int q)
-{
-    for (auto& row : rows_) {
-        row.r ^= row.GetZ(q);
-    }
-}
-
-void
-StabilizerState::ApplyY(int q)
-{
-    for (auto& row : rows_) {
-        row.r ^= row.GetX(q) != row.GetZ(q);
-    }
-}
-
-void
-StabilizerState::ApplyZ(int q)
-{
-    for (auto& row : rows_) {
-        row.r ^= row.GetX(q);
-    }
-}
-
-void
-StabilizerState::ApplySX(int q)
-{
-    ApplyH(q);
-    ApplyS(q);
-    ApplyH(q);
-}
-
-void
-StabilizerState::ApplyCX(int control, int target)
-{
-    XTALK_REQUIRE(control != target, "CX needs distinct qubits");
-    for (auto& row : rows_) {
-        const bool xc = row.GetX(control);
-        const bool zc = row.GetZ(control);
-        const bool xt = row.GetX(target);
-        const bool zt = row.GetZ(target);
-        row.r ^= xc && zt && (xt == zc);
-        row.SetX(target, xt != xc);
-        row.SetZ(control, zc != zt);
-    }
-}
-
-void
-StabilizerState::ApplyCZ(int a, int b)
-{
-    ApplyH(b);
-    ApplyCX(a, b);
-    ApplyH(b);
-}
-
-void
-StabilizerState::ApplySwap(int a, int b)
-{
-    ApplyCX(a, b);
-    ApplyCX(b, a);
-    ApplyCX(a, b);
-}
-
-void
-StabilizerState::ApplyGate(const Gate& gate)
-{
-    switch (gate.kind) {
-      case GateKind::kI:
-      case GateKind::kBarrier:
-        return;
-      case GateKind::kH: ApplyH(gate.qubits[0]); return;
-      case GateKind::kS: ApplyS(gate.qubits[0]); return;
-      case GateKind::kSdg: ApplySdg(gate.qubits[0]); return;
-      case GateKind::kX: ApplyX(gate.qubits[0]); return;
-      case GateKind::kY: ApplyY(gate.qubits[0]); return;
-      case GateKind::kZ: ApplyZ(gate.qubits[0]); return;
-      case GateKind::kSX: ApplySX(gate.qubits[0]); return;
-      case GateKind::kCX:
-        ApplyCX(gate.qubits[0], gate.qubits[1]);
-        return;
-      case GateKind::kCZ:
-        ApplyCZ(gate.qubits[0], gate.qubits[1]);
-        return;
-      case GateKind::kSwap:
-        ApplySwap(gate.qubits[0], gate.qubits[1]);
-        return;
-      default:
-        XTALK_REQUIRE(false, "non-Clifford gate in stabilizer simulation: "
-                                 << xtalk::ToString(gate));
-    }
-}
-
-void
-StabilizerState::RowSum(Row& h, const Row& i, bool track_phase) const
+StabilizerState::RowSum(TableauRow& h, const TableauRow& i,
+                        bool track_phase) const
 {
     if (track_phase) {
         // Phase exponent of i^k in the product, tracked mod 4 (CHP's g).
@@ -211,7 +39,7 @@ StabilizerState::RowSum(Row& h, const Row& i, bool track_phase) const
         XTALK_ASSERT(phase == 0 || phase == 2, "rowsum produced odd i-power");
         h.r = (phase == 2);
     }
-    for (size_t w = 0; w < words_; ++w) {
+    for (size_t w = 0; w < h.x.size(); ++w) {
         h.x[w] ^= i.x[w];
         h.z[w] ^= i.z[w];
     }

@@ -2,12 +2,13 @@
  * @file
  * Stabilizer-state simulator (Aaronson-Gottesman CHP) with measurement.
  *
- * Tracks an n-qubit stabilizer state in O(n^2) bits and simulates
- * Clifford gates in O(n) and measurements in O(n^2) — exponentially
- * cheaper than the state vector for the Clifford-only circuits of
- * randomized benchmarking. The StabilizerSimulator below replays the
- * same NoisePlan (sim/noise_plan.h) as the NoisySimulator, through the
- * same shot loop; only the state's noise primitives differ:
+ * Tracks an n-qubit stabilizer state in O(n^2) bits — the Tableau of
+ * clifford/tableau.h plus measurement — and simulates Clifford gates in
+ * O(n) and measurements in O(n^2), exponentially cheaper than the state
+ * vector for the Clifford-only circuits of randomized benchmarking. The
+ * StabilizerSimulator below replays the same NoisePlan
+ * (sim/noise_plan.h) as the NoisySimulator, through the same shot loop;
+ * only the state's noise primitives differ:
  *
  *  - gate errors inject uniform random Paulis (identical to the
  *    trajectory engine — depolarizing noise is a Pauli channel);
@@ -18,15 +19,15 @@
  *  - readout errors flip classical bits.
  *
  * RB error estimates from this backend match the state-vector backend
- * within statistical tolerance (tested), at a fraction of the cost.
+ * within statistical tolerance (tested). Both engines replay each
+ * coupler as its own small state, so on a two-coupler SRB schedule this
+ * one is only about 1.35x faster (measured in docs/TUTORIAL.md §3).
  */
 #ifndef XTALK_SIM_STABILIZER_H
 #define XTALK_SIM_STABILIZER_H
 
-#include <cstdint>
-#include <vector>
-
 #include "circuit/schedule.h"
+#include "clifford/tableau.h"
 #include "common/rng.h"
 #include "device/device.h"
 #include "sim/counts.h"
@@ -34,31 +35,14 @@
 
 namespace xtalk {
 
-/** n-qubit stabilizer state with CHP measurement. */
-class StabilizerState {
+/**
+ * n-qubit stabilizer state: the Clifford tableau (its gates, Reset and
+ * ApplyGate) plus CHP measurement and the Pauli-twirled noise steps.
+ */
+class StabilizerState : public Tableau {
   public:
     /** Initialize |0...0>. */
     explicit StabilizerState(int num_qubits);
-
-    int num_qubits() const { return num_qubits_; }
-
-    /** Reset to |0...0>. */
-    void Reset();
-
-    // Clifford gates (same update rules as the unitary tableau).
-    void ApplyH(int q);
-    void ApplyS(int q);
-    void ApplySdg(int q);
-    void ApplyX(int q);
-    void ApplyY(int q);
-    void ApplyZ(int q);
-    void ApplySX(int q);
-    void ApplyCX(int control, int target);
-    void ApplyCZ(int a, int b);
-    void ApplySwap(int a, int b);
-
-    /** Apply a Clifford circuit gate; throws on non-Clifford kinds. */
-    void ApplyGate(const Gate& gate);
 
     /**
      * Z-basis measurement of qubit @p q with collapse; random outcomes
@@ -82,18 +66,6 @@ class StabilizerState {
     void Dephase(int q, double p_flip, Rng& rng);
 
   private:
-    struct Row {
-        std::vector<uint64_t> x;
-        std::vector<uint64_t> z;
-        bool r = false;
-
-        bool GetX(int q) const { return (x[q / 64] >> (q % 64)) & 1; }
-        bool GetZ(int q) const { return (z[q / 64] >> (q % 64)) & 1; }
-        void SetX(int q, bool v);
-        void SetZ(int q, bool v);
-        void Clear();
-    };
-
     /**
      * CHP rowsum: row h *= row i (Pauli product with phase tracking).
      * @p track_phase=false skips the i-power bookkeeping and leaves
@@ -101,14 +73,11 @@ class StabilizerState {
      * may anticommute with i (odd i-power) and whose phase bit the
      * algorithm never reads.
      */
-    void RowSum(Row& h, const Row& i, bool track_phase = true) const;
+    void RowSum(TableauRow& h, const TableauRow& i,
+                bool track_phase = true) const;
 
-    int num_qubits_;
-    size_t words_;
-    // rows_[0..n-1] destabilizers, rows_[n..2n-1] stabilizers.
-    std::vector<Row> rows_;
     /** ProbabilityOne's accumulator, allocated once with the state. */
-    mutable Row scratch_;
+    mutable TableauRow scratch_;
 };
 
 /**

@@ -16,6 +16,7 @@
 #include "clifford/group.h"
 #include "clifford/tableau.h"
 #include "common/rng.h"
+#include "sim/stabilizer.h"
 #include "sim/statevector.h"
 
 namespace xtalk {
@@ -112,6 +113,32 @@ TEST(Tableau, KeyDistinguishesPhases)
     Tableau b(1);
     b.ApplyX(0);  // Same symplectic part, different sign bits.
     EXPECT_NE(a.Key(), b.Key());
+}
+
+TEST(Tableau, ResetReturnsToIdentity)
+{
+    Tableau t(3);
+    t.ApplyH(0);
+    t.ApplyCX(0, 2);
+    t.ApplyS(1);
+    t.ApplyY(2);
+    ASSERT_FALSE(t.IsIdentity());
+    t.Reset();
+    EXPECT_TRUE(t.IsIdentity());
+
+    // The stabilizer state is the same tableau plus measurement: after a
+    // random-outcome measurement, Reset() is |000> again.
+    Rng rng(7);
+    StabilizerState state(3);
+    state.ApplyH(0);
+    state.ApplyCX(0, 1);
+    ASSERT_DOUBLE_EQ(state.ProbabilityOne(0), 0.5);
+    state.MeasureQubit(0, rng);
+    state.Reset();
+    for (int q = 0; q < 3; ++q) {
+        EXPECT_DOUBLE_EQ(state.ProbabilityOne(q), 0.0) << "q=" << q;
+        EXPECT_FALSE(state.MeasureQubit(q, rng)) << "q=" << q;
+    }
 }
 
 /** Build a random Clifford circuit over n qubits. */

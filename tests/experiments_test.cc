@@ -160,6 +160,49 @@ TEST(XtalkSchedulerRegression, LazyRefinementCatchesCrossLayerOverlaps)
     EXPECT_GT(scheduler.stats().refinement_rounds, 0);
 }
 
+TEST(XtalkSchedulerRegression, PowersetRebuildsEachRefinementRound)
+{
+    // The layer-window probe above, run through both encodings: the
+    // powerset encoding is not monotone under refinement, so it builds a
+    // fresh solver every round, and it must still agree with the
+    // incremental lower-bound encoding.
+    const Device device = MakePoughkeepsie();
+    const auto characterization = OracleCharacterization(device);
+    HiddenShiftOptions options;
+    options.redundant_cnots = true;
+    const Circuit circuit =
+        BuildHiddenShiftCircuit(device, {10, 15, 11, 12}, options);
+
+    XtalkSchedulerOptions bound_options;
+    bound_options.omega = 0.3;
+    bound_options.max_layer_distance = 2;
+    XtalkSchedulerOptions powerset_options = bound_options;
+    powerset_options.use_powerset_encoding = true;
+
+    XtalkScheduler bound(device, characterization, bound_options);
+    XtalkScheduler powerset(device, characterization, powerset_options);
+    const ScheduledCircuit s_bound = bound.Schedule(circuit);
+    const ScheduledCircuit s_powerset = powerset.Schedule(circuit);
+
+    EXPECT_GT(bound.stats().refinement_rounds, 0);
+    EXPECT_GT(powerset.stats().refinement_rounds, 0);
+    EXPECT_EQ(bound.stats().solver_builds, 1);
+    EXPECT_EQ(powerset.stats().solver_builds,
+              powerset.stats().refinement_rounds + 1);
+    for (const ScheduledCircuit* s : {&s_bound, &s_powerset}) {
+        EXPECT_EQ(EstimateScheduleError(*s, device, nullptr,
+                                        ErrorDataSource::kGroundTruth)
+                      .crosstalk_overlaps,
+                  0);
+    }
+    EXPECT_NEAR(
+        EstimateScheduleError(s_bound, device, &characterization)
+            .Objective(0.3),
+        EstimateScheduleError(s_powerset, device, &characterization)
+            .Objective(0.3),
+        1e-3);
+}
+
 TEST(XtalkSchedulerRegression, RefinementNotNeededForShallowCircuits)
 {
     const Device device = MakePoughkeepsie();
